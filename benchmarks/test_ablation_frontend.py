@@ -1,33 +1,25 @@
-"""Ablation: event-loop front end vs thread-per-connection at scale.
+"""Front-end connection sweep: p99 stays flat from 16 to 2,048 clients.
 
-PR 2's thread-per-connection server spends an OS thread (and a tiny
-listen backlog) per socket, so connection count — not offered load — is
-what breaks it: a burst of a thousand concurrent clients overflows the
-accept queue and the thread scheduler long before the serving engine's
-queues fill. The event loop (`repro.frontend.eventloop`) multiplexes
-every connection onto one selector thread, decoupling intake capacity
-from client count.
+The event loop (`repro.frontend.eventloop`) multiplexes every
+connection onto one selector thread, decoupling intake capacity from
+client count. The experiment holds the *aggregate offered load fixed*
+(open loop, a single multiplexed generator pacing requests on a
+wall-clock schedule) and sweeps how many pipelined connections that
+load is spread across: 16 -> 256 -> 1024 -> 2048. A connection-scalable
+front end does not care; p99 stays flat. (Closed-loop throughput is
+measured by the `predict_saturation` workload in `benchmarks/e2e`.)
 
-The experiment holds the *aggregate offered load fixed* (open loop, a
-single multiplexed generator pacing requests on a wall-clock schedule)
-and sweeps how many pipelined connections that load is spread across:
-16 -> 256 -> 1024 -> 2048. If the front end is connection-scalable, the
-latency distribution should not care; p99 stays flat. A closed-loop run
-at 16 connections additionally checks the event loop gives up no
-meaningful throughput where the threaded design is comfortable.
+Shape assertions: every connection at the top rung is established and
+served (nothing refused/lost) and p99 stays within 2x of the
+16-connection baseline (+5 ms of slack for scheduler noise).
 
-Shape assertions:
+The thread-per-connection arm this sweep was first run against (it
+refused 1,618 of 2,048 clients) was removed in PR 13; the recorded
+comparison is `BENCH_frontend.json` / `results/ablation_frontend.txt`
+and can be re-run at commit 44bac12. This script writes only under
+`.bench_out/`, so neither a smoke nor a full run touches those records.
 
-* event loop: every connection at the top rung is established and
-  served (nothing refused/lost) and p99 stays within 2x of the
-  16-connection baseline (+5 ms of slack for scheduler noise);
-* threaded: at the 1024+ rungs it visibly breaks — connections miss the
-  establish deadline, requests go unanswered, or p99 blows past 4x its
-  own baseline;
-* throughput at 16 connections: event loop >= 0.9x threaded.
-
-Set ``FRONTEND_SMOKE=1`` for the fast CI configuration (16 -> 256 only;
-the threaded-collapse assertion needs the big rungs and is skipped).
+Set ``FRONTEND_SMOKE=1`` for the fast CI configuration (16 -> 256 only).
 """
 
 from __future__ import annotations
@@ -45,10 +37,10 @@ from repro.frontend import PredictApiRequest, VeloxServer, wire
 from repro.serving import ServingConfig
 from repro.tools.bench_report import write_json_summary
 
-from conftest import build_mf_serving, write_result
+from conftest import build_mf_serving
 
 SMOKE = os.environ.get("FRONTEND_SMOKE", "") not in ("", "0")
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / ".bench_out"
 
 DIMENSION = 34
 NUM_ITEMS = 1000
@@ -61,11 +53,9 @@ OPEN_LOOP_REQUESTS = 600 if SMOKE else 3000
 #: Connections not fully negotiated by this deadline count as refused.
 CONNECT_DEADLINE = 6.0 if SMOKE else 10.0
 DRAIN_DEADLINE = 10.0
-CLOSED_LOOP_REQUESTS = 800 if SMOKE else 3000
-CLOSED_LOOP_WINDOW = 4
 
 
-def _stack(frontend: str) -> VeloxServer:
+def _stack() -> VeloxServer:
     velox = build_mf_serving(
         DIMENSION, NUM_ITEMS, num_users=NUM_USERS, num_nodes=1
     )
@@ -79,7 +69,7 @@ def _stack(frontend: str) -> VeloxServer:
             slo_p99=0.1,
         )
     )
-    return VeloxServer(velox, engine=engine, frontend=frontend)
+    return VeloxServer(velox, engine=engine)
 
 
 # -- multiplexed load generator ---------------------------------------------
@@ -87,7 +77,7 @@ def _stack(frontend: str) -> VeloxServer:
 # Thousands of concurrent clients cannot be thousands of client threads
 # on this box — the generator itself would be the bottleneck. One
 # selectors loop drives every connection: non-blocking connects, the
-# binary hello on each, then paced raw frames with client-side
+# hello on each, then paced raw frames with client-side
 # FrameDecoder reassembly. The generator is the mirror image of the
 # server under test.
 
@@ -106,7 +96,7 @@ class _Conn:
 def _establish(
     host: str, port: int, count: int, deadline_s: float
 ) -> tuple[list[socket.socket], int, float]:
-    """Open ``count`` negotiated binary connections concurrently.
+    """Open ``count`` negotiated connections concurrently.
 
     Returns ``(sockets, refused, elapsed_s)`` where refused counts
     connections that failed or missed the deadline — the observable
@@ -142,7 +132,7 @@ def _establish(
                     continue
                 try:
                     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    sock.sendall(wire.HELLO)
+                    sock.sendall(wire.HELLO_V2)
                 except OSError:
                     sel.unregister(sock)
                     sock.close()
@@ -166,8 +156,8 @@ def _establish(
                 inflight -= 1
                 continue
             hello[sock] += chunk
-            if len(hello[sock]) >= len(wire.HELLO):
-                assert hello[sock] == wire.HELLO, hello[sock]
+            if len(hello[sock]) >= len(wire.HELLO_V2):
+                assert hello[sock] == wire.HELLO_V2, hello[sock]
                 sel.unregister(sock)
                 hello.pop(sock)
                 established.append(sock)
@@ -284,68 +274,6 @@ def _open_loop(
     }
 
 
-def _closed_loop(
-    socks: list[socket.socket], window: int, num_requests: int, seed: int
-) -> dict:
-    """Closed-loop throughput: each connection keeps ``window`` requests
-    in flight and refills on every response."""
-    rng = np.random.default_rng(seed)
-    uids = rng.integers(0, NUM_USERS, num_requests)
-    items = rng.integers(0, NUM_ITEMS, num_requests)
-    sel = selectors.DefaultSelector()
-    conns = []
-    for sock in socks:
-        conn = _Conn(sock)
-        sel.register(sock, selectors.EVENT_READ, conn)
-        conns.append(conn)
-    sent = received = errors = 0
-
-    def fire(conn: _Conn) -> None:
-        nonlocal sent
-        request = PredictApiRequest(uid=int(uids[sent]), item=int(items[sent]))
-        conn.outbuf += wire.encode_request_frame(request, sent)
-        sent += 1
-        _flush(sel, conn)
-
-    start = time.monotonic()
-    for conn in conns:
-        for _ in range(window):
-            if sent < num_requests:
-                fire(conn)
-    deadline = start + 120.0
-    while received < sent and time.monotonic() < deadline:
-        for key, mask in sel.select(timeout=0.2):
-            conn = key.data
-            if mask & selectors.EVENT_WRITE:
-                _flush(sel, conn)
-            if not (mask & selectors.EVENT_READ) or conn.dead:
-                continue
-            try:
-                chunk = conn.sock.recv(1 << 16)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError:
-                chunk = b""
-            if not chunk:
-                conn.dead = True
-                sel.unregister(conn.sock)
-                continue
-            conn.decoder.feed(chunk)
-            for _opcode, _corr_id, payload in conn.decoder.drain():
-                received += 1
-                if not wire.decode_response_payload(payload).ok:
-                    errors += 1
-                if sent < num_requests:
-                    fire(conn)
-    elapsed = time.monotonic() - start
-    sel.close()
-    return {
-        "completed": received,
-        "errors": errors,
-        "throughput_rps": received / elapsed if elapsed > 0 else 0.0,
-    }
-
-
 def _close_all(socks: list[socket.socket]) -> None:
     for sock in socks:
         try:
@@ -354,10 +282,10 @@ def _close_all(socks: list[socket.socket]) -> None:
             pass
 
 
-def _sweep(frontend: str) -> list[dict]:
+def _sweep() -> list[dict]:
     rows = []
     for clients in RUNGS:
-        with _stack(frontend) as server:
+        with _stack() as server:
             socks, refused, establish_s = _establish(
                 server.host, server.port, clients, CONNECT_DEADLINE
             )
@@ -375,7 +303,6 @@ def _sweep(frontend: str) -> list[dict]:
             _close_all(socks)
             rows.append(
                 {
-                    "frontend": frontend,
                     "clients": clients,
                     "established": len(socks),
                     "refused": refused,
@@ -386,95 +313,47 @@ def _sweep(frontend: str) -> list[dict]:
     return rows
 
 
-def _throughput16(frontend: str) -> dict:
-    with _stack(frontend) as server:
-        socks, refused, _ = _establish(
-            server.host, server.port, 16, CONNECT_DEADLINE
-        )
-        assert refused == 0, f"{frontend}: refused at 16 connections"
-        result = _closed_loop(
-            socks, CLOSED_LOOP_WINDOW, CLOSED_LOOP_REQUESTS, seed=99
-        )
-        _close_all(socks)
-    return result
-
-
 def test_frontend_summary(benchmark):
-    sweeps = {frontend: _sweep(frontend) for frontend in ("eventloop", "threaded")}
-    throughput = {
-        frontend: _throughput16(frontend)
-        for frontend in ("eventloop", "threaded")
-    }
+    sweep = _sweep()
 
     lines = [
         f"== open loop: fixed {RATE:.0f} rps aggregate, "
         f"{OPEN_LOOP_REQUESTS} predicts, client-count sweep =="
     ]
     lines.append(
-        "frontend   clients  established  refused  establish_s  "
+        "clients  established  refused  establish_s  "
         "answered  lost  p50_ms   p99_ms"
     )
-    for frontend, rows in sweeps.items():
-        for row in rows:
-            lines.append(
-                f"{frontend:<11}{row['clients']:<9d}{row['established']:<13d}"
-                f"{row['refused']:<9d}{row['establish_s']:<13.2f}"
-                f"{row['answered']:<10d}{row['lost']:<6d}"
-                f"{row['p50_ms']:<9.2f}{row['p99_ms']:.2f}"
-            )
-    lines.append("")
-    lines.append(
-        f"== closed loop: 16 connections x window {CLOSED_LOOP_WINDOW}, "
-        f"{CLOSED_LOOP_REQUESTS} predicts =="
-    )
-    lines.append("frontend   throughput_rps  completed  errors")
-    for frontend, row in throughput.items():
+    for row in sweep:
         lines.append(
-            f"{frontend:<11}{row['throughput_rps']:<16.1f}"
-            f"{row['completed']:<11d}{row['errors']:d}"
+            f"{row['clients']:<9d}{row['established']:<13d}"
+            f"{row['refused']:<9d}{row['establish_s']:<13.2f}"
+            f"{row['answered']:<10d}{row['lost']:<6d}"
+            f"{row['p50_ms']:<9.2f}{row['p99_ms']:.2f}"
         )
-    write_result("ablation_frontend", lines)
+    print("\n[ablation_frontend]\n" + "\n".join(lines))
+    OUT_DIR.mkdir(exist_ok=True)
     write_json_summary(
-        REPO_ROOT / "BENCH_frontend.json",
+        OUT_DIR / "ablation_frontend.json",
         "ablation_frontend",
         {
             "smoke": SMOKE,
             "rate_rps": RATE,
             "open_loop_requests": OPEN_LOOP_REQUESTS,
             "rungs": RUNGS,
-            "sweep": sweeps,
-            "throughput_16_clients": throughput,
+            "sweep": sweep,
         },
     )
 
-    ev = {row["clients"]: row for row in sweeps["eventloop"]}
-    th = {row["clients"]: row for row in sweeps["threaded"]}
-    ev_base, ev_top = ev[RUNGS[0]], ev[RUNGS[-1]]
+    by_clients = {row["clients"]: row for row in sweep}
+    base, top = by_clients[RUNGS[0]], by_clients[RUNGS[-1]]
 
-    # The tentpole claim: the event loop serves every client at the top
-    # rung and holds p99 within 2x of the 16-connection baseline.
-    assert ev_top["refused"] == 0, f"event loop refused: {ev_top}"
-    assert ev_top["lost"] == 0, f"event loop lost requests: {ev_top}"
-    assert ev_top["p99_ms"] <= max(
-        2.0 * ev_base["p99_ms"], ev_base["p99_ms"] + 5.0
-    ), f"event loop p99 not flat: base={ev_base} top={ev_top}"
-
-    # The event loop gives up no meaningful throughput at a connection
-    # count where thread-per-connection is comfortable.
-    ev_rps = throughput["eventloop"]["throughput_rps"]
-    th_rps = throughput["threaded"]["throughput_rps"]
-    assert ev_rps >= 0.9 * th_rps, f"eventloop {ev_rps:.0f} vs threaded {th_rps:.0f}"
-
-    # The threaded design visibly breaks at the big rungs: refused
-    # connections, unanswered requests, or a p99 blow-up.
-    if RUNGS[-1] >= 1024:
-        th_top, th_base = th[RUNGS[-1]], th[RUNGS[0]]
-        degraded = (
-            th_top["answered"] == 0
-            or not np.isfinite(th_top["p99_ms"])
-            or th_top["p99_ms"] > 4.0 * th_base["p99_ms"]
-        )
-        assert th_top["refused"] > 0 or th_top["lost"] > 0 or degraded, (
-            f"threaded survived the top rung: base={th_base} top={th_top}"
-        )
+    # The event loop serves every client at the top rung and holds p99
+    # within 2x of the 16-connection baseline.
+    assert top["refused"] == 0, f"event loop refused: {top}"
+    assert top["lost"] == 0, f"event loop lost requests: {top}"
+    assert top["p99_ms"] <= max(
+        2.0 * base["p99_ms"], base["p99_ms"] + 5.0
+    ), f"event loop p99 not flat: base={base} top={top}"
+    assert all(row["errors"] == 0 for row in sweep), sweep
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -5,7 +5,7 @@ front-end exactly as a web application would use it:
 
 * a catalog of songs with planted listener preferences,
 * the Velox server process serving ``predict`` / ``top_k`` / ``observe``
-  over JSON lines,
+  over the binary framed protocol,
 * simulated listeners whose sessions mix radio-style topK requests with
   explicit ratings,
 * the "DeadHead problem": bandit-driven topK occasionally plays a deep
@@ -25,8 +25,8 @@ from repro.core.offline import als_train
 from repro.data import SynthLensConfig, generate_synthlens
 from repro.frontend import (
     ObserveApiRequest,
+    PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     TopKApiRequest,
     VeloxServer,
 )
@@ -91,7 +91,7 @@ def main() -> None:
 
     with VeloxServer(velox) as server:
         print(f"Velox serving songs on {server.host}:{server.port}")
-        with RemoteClient(server.host, server.port) as client:
+        with PipelinedClient(server.host, server.port) as client:
             # -- a radio session -------------------------------------------------
             listener = 17
             slate = [int(s) for s in rng.choice(NUM_SONGS, size=20, replace=False)]

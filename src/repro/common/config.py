@@ -64,12 +64,6 @@ class VeloxConfig:
             per user key, the historical layout). Both are observably
             equivalent; slab is the default because per-request cost
             stays flat as user count grows.
-        frontend: TCP front-end implementation used by
-            :class:`~repro.frontend.server.VeloxServer`:
-            ``"eventloop"`` (one selector thread multiplexing every
-            connection — p99 stays flat into the thousands of
-            pipelined clients) or ``"threaded"`` (thread per
-            connection, the historical fallback).
         analytics: Whether to stand up the MV-first analytics tier
             (:class:`~repro.analytics.AnalyticsEngine`): per-user,
             per-item, and per-time-window rollups maintained inline
@@ -97,7 +91,6 @@ class VeloxConfig:
     batch_executor: str = "thread"
     replication_factor: int = 1
     user_weight_store: str = "slab"
-    frontend: str = "eventloop"
     analytics: bool = True
     extra: dict = field(default_factory=dict)
 
@@ -111,9 +104,6 @@ class VeloxConfig:
     # config layer stays import-free of the batch subsystem).
     _VALID_BATCH_EXECUTORS = ("thread", "fork")
     _VALID_USER_WEIGHT_STORES = ("slab", "dict")
-    # Mirrors repro.frontend.server.FRONTENDS (kept literal here so the
-    # config layer stays import-free of the frontend subsystem).
-    _VALID_FRONTENDS = ("eventloop", "threaded")
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -174,11 +164,6 @@ class VeloxConfig:
                 f"user_weight_store must be one of "
                 f"{self._VALID_USER_WEIGHT_STORES}, "
                 f"got {self.user_weight_store!r}"
-            )
-        if self.frontend not in self._VALID_FRONTENDS:
-            raise ConfigError(
-                f"frontend must be one of {self._VALID_FRONTENDS}, "
-                f"got {self.frontend!r}"
             )
         if self.replication_factor > self.num_nodes:
             raise ConfigError(

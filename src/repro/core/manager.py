@@ -185,9 +185,12 @@ class ModelManager:
         self._retraining = False
         self._async_retraining: set[str] = set()
         # Serializes the read-modify-write of user state and the model
-        # swap: the front-end server is threaded, and two concurrent
-        # observes for the same user must not lose an update. Predictions
-        # stay lock-free (they only read).
+        # swap. Writers run on several threads at once: the reactor
+        # executes observes and retrains inline, a background retrain
+        # swaps from its own thread, and in-process callers observe from
+        # theirs; two concurrent observes for the same user must not
+        # lose an update. Predictions on the engine workers stay
+        # lock-free (they only read).
         self._write_lock = RLock()
 
     # -- deployment -------------------------------------------------------

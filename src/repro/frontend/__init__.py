@@ -3,22 +3,16 @@
 The prototype "exposes a RESTful client interface"; this subpackage
 provides the equivalent for the reproduction:
 
-* :mod:`repro.frontend.api` — typed request/response objects and a JSON
-  wire codec (one JSON object per line),
+* :mod:`repro.frontend.api` — typed request/response objects,
 * :mod:`repro.frontend.wire` — the length-prefixed binary framed codec
-  (struct-packed frames, raw-bytes ndarray payloads, correlation ids)
-  negotiated on connect with JSON-lines as the universal fallback,
+  (struct-packed frames, raw-bytes ndarray payloads, correlation ids),
 * :class:`VeloxClient` — an in-process client binding the API objects
   to a deployed :class:`~repro.core.velox.Velox` instance,
-* :class:`VeloxServer` / :class:`RemoteClient` — a TCP server speaking
-  both protocols behind a front-end knob (``"eventloop"`` selector
-  server or ``"threaded"`` thread-per-connection fallback), and the
-  simple one-in-flight JSON client,
-* :class:`EventLoopServer` — the selector-based front end itself, for
-  callers that need its tuning knobs (watermarks, frame limits),
-* :class:`PipelinedClient` / :class:`ConnectionPool` — the binary
-  pipelined client (many in-flight correlated requests per socket) and
-  a small round-robin pool of them,
+* :class:`EventLoopServer` — the TCP server: one selector thread for
+  every connection (``VeloxServer`` is a second name for it),
+* :class:`PipelinedClient` / :class:`ConnectionPool` — the socket
+  client (many in-flight correlated requests per socket) and a small
+  round-robin pool of them,
 * :class:`ResilientClient` — the policy stack on top of pooled
   connections: retries under a token budget, hedged reads, per-endpoint
   circuit breaking, and the degradation ladder.
@@ -34,10 +28,6 @@ from repro.frontend.api import (
     StatusApiRequest,
     AnalyticsApiRequest,
     ApiResponse,
-    encode_request,
-    decode_request,
-    encode_response,
-    decode_response,
 )
 from repro.frontend.client import VeloxClient
 from repro.frontend.eventloop import EventLoopServer
@@ -49,7 +39,8 @@ from repro.frontend.resilient import (
     RetryBudget,
     RetryPolicy,
 )
-from repro.frontend.server import FRONTENDS, VeloxServer, RemoteClient
+
+VeloxServer = EventLoopServer
 
 __all__ = [
     "PredictApiRequest",
@@ -61,15 +52,9 @@ __all__ = [
     "StatusApiRequest",
     "AnalyticsApiRequest",
     "ApiResponse",
-    "encode_request",
-    "decode_request",
-    "encode_response",
-    "decode_response",
     "VeloxClient",
     "VeloxServer",
     "EventLoopServer",
-    "FRONTENDS",
-    "RemoteClient",
     "PipelinedClient",
     "ConnectionPool",
     "ResilientClient",

@@ -1,19 +1,15 @@
-"""Typed API objects and the JSON-lines wire codec.
+"""Typed API request and response objects.
 
-Requests mirror Listing 1 (``predict``, ``topK``, ``observe``) plus two
-management endpoints (``health``, ``retrain``). Item payloads may be
-integers (materialized models) or lists of floats (computed models);
-the codec round-trips both.
+Requests mirror Listing 1 (``predict``, ``topK``, ``observe``) plus the
+management endpoints (``health``, ``retrain``, ``status``,
+``analytics``). Item payloads may be integers (materialized models) or
+float vectors (computed models); :mod:`repro.frontend.wire` carries
+both.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.common.errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -25,15 +21,13 @@ class PredictApiRequest:
     serving engine sheds the request — always before model compute —
     once the budget is spent. ``degraded`` asks for the cache-only rung
     of the degradation ladder: answer from the prediction cache without
-    queueing, or fail fast. Both are optional trailing wire fields, so
-    old peers interoperate unchanged.
+    queueing, or fail fast.
     """
     uid: int
     item: object
     model: str | None = None
     deadline: float | None = None
     degraded: bool = False
-    method = "predict"
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,6 @@ class TopKApiRequest:
     policy: str | None = None
     deadline: float | None = None
     degraded: bool = False
-    method = "top_k"
 
 
 @dataclass(frozen=True)
@@ -62,14 +55,12 @@ class ObserveApiRequest:
     #: marks bandit-collected feedback for the unbiased validation pool
     #: (paper Section 4.3)
     validation: bool = False
-    method = "observe"
 
 
 @dataclass(frozen=True)
 class HealthApiRequest:
     """Model-health snapshot."""
     model: str | None = None
-    method = "health"
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,6 @@ class RetrainApiRequest:
     """Trigger an offline retrain."""
     model: str | None = None
     reason: str = "api request"
-    method = "retrain"
 
 
 @dataclass(frozen=True)
@@ -87,14 +77,11 @@ class TopKCatalogApiRequest:
     uid: int
     k: int = 10
     model: str | None = None
-    method = "top_k_catalog"
 
 
 @dataclass(frozen=True)
 class StatusApiRequest:
     """Deployment status report (the admin endpoint)."""
-
-    method = "status"
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,6 @@ class AnalyticsApiRequest:
     agg: str = "count"
     force_scan: bool = False
     model: str | None = None
-    method = "analytics"
 
     def to_query(self):
         """The engine-side :class:`~repro.analytics.AnalyticsQuery`
@@ -139,171 +125,3 @@ class ApiResponse:
     ok: bool
     payload: dict = field(default_factory=dict)
     error: str = ""
-
-
-_REQUEST_TYPES = {
-    "predict": PredictApiRequest,
-    "top_k": TopKApiRequest,
-    "observe": ObserveApiRequest,
-    "health": HealthApiRequest,
-    "retrain": RetrainApiRequest,
-    "top_k_catalog": TopKCatalogApiRequest,
-    "status": StatusApiRequest,
-    "analytics": AnalyticsApiRequest,
-}
-
-
-def _jsonable_item(item: object) -> object:
-    if isinstance(item, (int, str, float, bool)):
-        return item
-    if isinstance(item, np.integer):
-        return int(item)
-    if isinstance(item, np.ndarray):
-        return {"__ndarray__": item.tolist()}
-    if isinstance(item, (list, tuple)):
-        return list(item)
-    raise ValidationError(f"cannot serialize item payload {item!r}")
-
-
-def _item_from_json(value: object) -> object:
-    if isinstance(value, dict) and "__ndarray__" in value:
-        return np.asarray(value["__ndarray__"], dtype=float)
-    return value
-
-
-def encode_request(request) -> str:
-    """One request → one JSON line."""
-    body = {"method": request.method}
-    if isinstance(request, PredictApiRequest):
-        body.update(uid=request.uid, item=_jsonable_item(request.item), model=request.model)
-        if request.deadline is not None:
-            body["deadline"] = request.deadline
-        if request.degraded:
-            body["degraded"] = True
-    elif isinstance(request, TopKApiRequest):
-        body.update(
-            uid=request.uid,
-            items=[_jsonable_item(i) for i in request.items],
-            k=request.k,
-            model=request.model,
-            policy=request.policy,
-        )
-        if request.deadline is not None:
-            body["deadline"] = request.deadline
-        if request.degraded:
-            body["degraded"] = True
-    elif isinstance(request, ObserveApiRequest):
-        body.update(
-            uid=request.uid,
-            item=_jsonable_item(request.item),
-            label=request.label,
-            model=request.model,
-            validation=request.validation,
-        )
-    elif isinstance(request, HealthApiRequest):
-        body.update(model=request.model)
-    elif isinstance(request, RetrainApiRequest):
-        body.update(model=request.model, reason=request.reason)
-    elif isinstance(request, TopKCatalogApiRequest):
-        body.update(uid=request.uid, k=request.k, model=request.model)
-    elif isinstance(request, StatusApiRequest):
-        pass  # no fields
-    elif isinstance(request, AnalyticsApiRequest):
-        body.update(
-            uid=request.uid,
-            item=request.item,
-            time_start=request.time_start,
-            time_end=request.time_end,
-            group_by=request.group_by,
-            agg=request.agg,
-            force_scan=request.force_scan,
-            model=request.model,
-        )
-    else:
-        raise ValidationError(f"unknown request type {type(request).__name__}")
-    return json.dumps(body)
-
-
-def decode_request(line: str):
-    """One JSON line → one request object."""
-    try:
-        body = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"malformed request JSON: {err}") from err
-    method = body.get("method")
-    if method not in _REQUEST_TYPES:
-        raise ValidationError(f"unknown API method {method!r}")
-    if method == "predict":
-        deadline = body.get("deadline")
-        return PredictApiRequest(
-            uid=int(body["uid"]),
-            item=_item_from_json(body["item"]),
-            model=body.get("model"),
-            deadline=None if deadline is None else float(deadline),
-            degraded=bool(body.get("degraded", False)),
-        )
-    if method == "top_k":
-        deadline = body.get("deadline")
-        return TopKApiRequest(
-            uid=int(body["uid"]),
-            items=tuple(_item_from_json(i) for i in body["items"]),
-            k=int(body.get("k", 1)),
-            model=body.get("model"),
-            policy=body.get("policy"),
-            deadline=None if deadline is None else float(deadline),
-            degraded=bool(body.get("degraded", False)),
-        )
-    if method == "observe":
-        return ObserveApiRequest(
-            uid=int(body["uid"]),
-            item=_item_from_json(body["item"]),
-            label=float(body["label"]),
-            model=body.get("model"),
-            validation=bool(body.get("validation", False)),
-        )
-    if method == "health":
-        return HealthApiRequest(model=body.get("model"))
-    if method == "top_k_catalog":
-        return TopKCatalogApiRequest(
-            uid=int(body["uid"]), k=int(body.get("k", 10)), model=body.get("model")
-        )
-    if method == "status":
-        return StatusApiRequest()
-    if method == "analytics":
-        uid = body.get("uid")
-        item = body.get("item")
-        time_start = body.get("time_start")
-        time_end = body.get("time_end")
-        return AnalyticsApiRequest(
-            uid=None if uid is None else int(uid),
-            item=None if item is None else int(item),
-            time_start=None if time_start is None else float(time_start),
-            time_end=None if time_end is None else float(time_end),
-            group_by=body.get("group_by"),
-            agg=body.get("agg", "count"),
-            force_scan=bool(body.get("force_scan", False)),
-            model=body.get("model"),
-        )
-    return RetrainApiRequest(
-        model=body.get("model"), reason=body.get("reason", "api request")
-    )
-
-
-def encode_response(response: ApiResponse) -> str:
-    """One response -> one JSON line."""
-    return json.dumps(
-        {"ok": response.ok, "payload": response.payload, "error": response.error}
-    )
-
-
-def decode_response(line: str) -> ApiResponse:
-    """One JSON line -> one response object."""
-    try:
-        body = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"malformed response JSON: {err}") from err
-    return ApiResponse(
-        ok=bool(body.get("ok")),
-        payload=body.get("payload", {}),
-        error=body.get("error", ""),
-    )

@@ -1,8 +1,8 @@
 """In-process client: dispatches API objects against a Velox deployment.
 
-The server and the remote client both reduce to this dispatcher, so the
-API surface (validation, response shapes, error envelopes) is identical
-whether calls arrive in-process or over the wire.
+The TCP server reduces to this dispatcher, so the API surface
+(validation, response shapes, error envelopes) is identical whether
+calls arrive in-process or over the wire.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class VeloxClient:
         self.velox = velox
         self.engine = engine
         #: Optional zero-arg callable returning transport counters; set
-        #: by the TCP servers so ``status`` responses expose the front
+        #: by the TCP server so ``status`` responses expose the front
         #: end's state (open sockets, backpressure, dispatch depth).
         self.frontend_status = None
         # Analytics queries can degrade to log scans; a small side pool
@@ -140,9 +140,9 @@ class VeloxClient:
 
         The pipelined server path: ``predict``/``top_k`` requests with
         an attached engine are *enqueued* (the returned future completes
-        when the engine's worker pool serves or sheds the batch), so one
-        connection thread can keep many requests in flight and fill
-        adaptive batches. Every other request — and every request when
+        when the engine's worker pool serves or sheds the batch), so the
+        reactor can keep many requests in flight and fill adaptive
+        batches. Every other request — and every request when
         no engine is attached — is dispatched inline and returned as an
         already-completed future. Like :meth:`dispatch`, the future
         always yields an :class:`ApiResponse`; errors become envelopes,
@@ -453,7 +453,8 @@ class VeloxClient:
 
 
 def _wire_item(item: object) -> object:
-    """Item payloads that survive JSON round-trips."""
+    """Item payloads as plain python values (numpy scalars unboxed,
+    arrays as lists), the shape response payloads have always had."""
     import numpy as np
 
     if isinstance(item, np.integer):

@@ -1,10 +1,8 @@
 """Single-threaded event-loop TCP front end: C10k-scale connection intake.
 
-The threaded server (:mod:`repro.frontend.server`) spends one OS thread
-per connection, so its capacity is bounded by thread spawn cost, stack
+A thread per connection bounds capacity by thread spawn cost, stack
 memory, and scheduler churn long before the serving engine's queues
-saturate — a few hundred sockets is where it stops holding tail
-latency. This module decouples connection count from thread count the
+saturate. This module decouples connection count from thread count the
 way Clipper and InferLine's front ends do: one thread, one
 ``selectors`` loop, and per-connection state machines.
 
@@ -13,16 +11,14 @@ Design:
 * **Non-blocking everything.** The listener, every accepted socket, and
   the wake pipe are non-blocking; the loop thread never sleeps inside a
   read or write. Incoming bytes feed a per-connection incremental
-  reassembler (:class:`~repro.frontend.wire.FrameDecoder` for binary,
-  a line splitter for JSON), so a slow-loris client trickling one byte
-  per call costs one buffer append, not a parked thread.
-* **Same protocols, same negotiation.** A connection opening with the
-  :data:`~repro.frontend.wire.HELLO` preamble is answered in kind and
-  switched to correlated binary frames; anything else is served
-  JSON-lines, strictly in order (a FIFO of response futures preserves
-  the line protocol's ordering even though dispatch is asynchronous).
-  Existing clients — :class:`~repro.frontend.server.RemoteClient` and
-  :class:`~repro.frontend.pipelined.PipelinedClient` — work unmodified.
+  reassembler (:class:`~repro.frontend.wire.FrameDecoder`), so a
+  slow-loris client trickling one byte per call costs one buffer
+  append, not a parked thread.
+* **One protocol, negotiated by one line.** A connection must open with
+  the :data:`~repro.frontend.wire.HELLO_V2` preamble; the server echoes
+  it and switches to correlated binary frames. The first byte that
+  breaks the preamble closes the socket without a reply, so the
+  negotiation buffer never holds more than ``len(HELLO_V2)`` bytes.
 * **Engine-coupled dispatch.** Decoded requests enter the serving
   engine through :meth:`VeloxClient.dispatch_async`, stamped with the
   loop's ``recv`` time so admission control's age-bound shedding sees
@@ -43,10 +39,9 @@ Design:
   dropped on completion; the peer observes the close as a
   :class:`~repro.common.errors.TransportError` on its pending futures.
 
-Control-plane requests without an engine path (status, retrain,
-observe) execute inline on the loop thread, exactly as they execute
-inline on a connection thread in the threaded server; the hot path —
-predict/top-k with an engine attached — never blocks the loop.
+Requests without an engine path (status, retrain, observe) execute
+inline on the loop thread; the hot path — predict/top-k with an engine
+attached — never blocks the loop.
 """
 
 from __future__ import annotations
@@ -57,9 +52,9 @@ import threading
 from collections import deque
 
 from repro import chaos
-from repro.common.errors import ValidationError
+from repro.common.errors import TransportError, ValidationError
 from repro.frontend import wire
-from repro.frontend.api import ApiResponse, decode_request, encode_response
+from repro.frontend.api import ApiResponse
 from repro.frontend.client import VeloxClient
 from repro.metrics.frontend import FrontendCounters
 
@@ -80,22 +75,15 @@ _LISTEN_BACKLOG = 1024
 _ACCEPT = object()
 _WAKE = object()
 
-#: Connection protocol states.
-_NEGOTIATING = 0
-_BINARY = 1
-_JSON = 2
-
 
 class _Connection:
-    """Per-socket state: reassembly buffers, mode, in-flight futures."""
+    """Per-socket state: reassembly buffers and in-flight futures."""
 
     __slots__ = (
         "sock",
-        "mode",
-        "inbuf",
+        "hello",
         "decoder",
         "outbuf",
-        "json_fifo",
         "pending",
         "interest",
         "registered",
@@ -108,16 +96,13 @@ class _Connection:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.mode = _NEGOTIATING
-        #: Raw bytes before negotiation and JSON-lines residue after.
-        self.inbuf = bytearray()
-        #: Binary frame reassembler (created when binary negotiates).
+        #: Opening bytes matched against the hello so far; never longer
+        #: than the hello itself.
+        self.hello = bytearray()
+        #: Frame reassembler; None until the hello has been accepted.
         self.decoder: wire.FrameDecoder | None = None
         self.outbuf = bytearray()
-        #: JSON mode: response futures in request order (the line
-        #: protocol promises in-order responses).
-        self.json_fifo: deque = deque()
-        #: Binary mode: in-flight dispatch futures (order-free).
+        #: In-flight dispatch futures (order-free).
         self.pending: set = set()
         self.interest = 0
         self.registered = False
@@ -132,17 +117,22 @@ class _Connection:
 
 
 class EventLoopServer:
-    """Event-loop TCP server over a Velox deployment.
+    """Serves a Velox deployment on a TCP port (also exported as
+    ``VeloxServer``).
 
-    Usually constructed through :class:`~repro.frontend.server.VeloxServer`
-    (which selects the front end from ``VeloxConfig.frontend``); direct
-    construction exposes the backpressure watermarks and frame-size cap
-    for tests and tuning::
+    Usage::
 
-        server = EventLoopServer(velox, engine=engine, high_water=1 << 20)
+        server = EventLoopServer(velox, port=0)   # 0 = ephemeral port
         server.start()
-        ... PipelinedClient(*server.server_address) ...
+        ... PipelinedClient(server.host, server.port) ...
         server.stop()
+
+    With ``engine`` set to a :class:`~repro.serving.ServingEngine`,
+    predict/top-k requests are enqueued through the serving engine
+    (adaptive batching across connections, admission control, load
+    shedding) instead of dispatched inline; the engine's lifecycle
+    follows the server's. The backpressure watermarks and the
+    frame-size cap are exposed for tests and tuning.
     """
 
     kind = "eventloop"
@@ -169,6 +159,7 @@ class EventLoopServer:
             wire.MAX_FRAME_BYTES if max_frame_bytes is None else max_frame_bytes
         )
         self._sndbuf = sndbuf
+        self._engine = engine
         self.velox_client = VeloxClient(velox, engine=engine)
         self.counters = FrontendCounters(self.kind)
         self.velox_client.frontend_status = self.counters.snapshot
@@ -206,12 +197,28 @@ class EventLoopServer:
         """Bound (host, port)."""
         return self._listen.getsockname()
 
+    @property
+    def host(self) -> str:
+        """Bound host address."""
+        return self.server_address[0]
+
+    @property
+    def port(self) -> int:
+        """Bound port (useful with port 0 / ephemeral binding)."""
+        return self.server_address[1]
+
     def start(self) -> "EventLoopServer":
-        """Start the loop thread; returns self."""
+        """Start the loop thread; returns self.
+
+        An attached serving engine that is not yet running is started
+        alongside the listener.
+        """
         if self._thread is not None:
             raise ValidationError("server already started")
         if self._closed:
             raise ValidationError("server already stopped")
+        if self._engine is not None and not self._engine.running:
+            self._engine.start()
         self._thread = threading.Thread(
             target=self._run, name="velox-eventloop", daemon=True
         )
@@ -219,7 +226,8 @@ class EventLoopServer:
         return self
 
     def stop(self) -> None:
-        """Stop the loop and release every fd (idempotent).
+        """Stop the loop, release every fd, then stop any attached
+        engine (idempotent).
 
         Connections with unsent responses or in-flight dispatches are
         closed outright: their engine futures complete into a closed
@@ -233,6 +241,8 @@ class EventLoopServer:
         self._wake()
         self._thread.join(timeout=5)
         self._thread = None
+        if self._engine is not None:
+            self._engine.stop()
 
     def _wake(self) -> None:
         try:
@@ -374,9 +384,8 @@ class EventLoopServer:
             try:
                 self._consume(conn, chunk)
             except Exception:
-                # Corrupt framing / oversized line: the stream is
-                # unrecoverable; drop the connection like the threaded
-                # server's read loop does.
+                # Wrong hello or corrupt framing: the stream is
+                # unrecoverable; drop the connection without a reply.
                 self.counters.protocol_error()
                 self._close(conn)
                 return
@@ -388,38 +397,37 @@ class EventLoopServer:
     # -- protocol state machine -----------------------------------------------
 
     def _consume(self, conn: _Connection, chunk: bytes) -> None:
-        if conn.mode == _BINARY:
-            conn.decoder.feed(chunk)
-        else:
-            conn.inbuf += chunk
-            if conn.mode == _NEGOTIATING and not self._negotiate(conn):
-                return
-        if conn.mode == _BINARY:
-            for opcode, corr_id, payload in conn.decoder.drain():
-                if conn.closed:
-                    break  # a write failure killed the socket mid-batch
-                self._dispatch_binary(conn, opcode, corr_id, payload)
-        elif conn.mode == _JSON:
-            self._consume_json(conn)
+        if conn.decoder is None:
+            chunk = self._negotiate(conn, chunk)
+            if chunk is None:
+                return  # strict prefix: the rest is still in flight
+        conn.decoder.feed(chunk)
+        for opcode, corr_id, payload in conn.decoder.drain():
+            if conn.closed:
+                break  # a write failure killed the socket mid-batch
+            self._dispatch_frame(conn, opcode, corr_id, payload)
 
-    def _negotiate(self, conn: _Connection) -> bool:
-        """Decide the protocol from the first bytes; False = need more."""
-        for hello in wire.HELLO_VERSIONS:
-            if conn.inbuf.startswith(hello):
-                conn.mode = _BINARY
-                conn.decoder = wire.FrameDecoder(self.max_frame_bytes)
-                residue = bytes(conn.inbuf[len(hello):])
-                conn.inbuf.clear()
-                if residue:
-                    conn.decoder.feed(residue)
-                self._queue_bytes(conn, hello)  # answer in kind
-                return True
-        if any(hello.startswith(conn.inbuf) for hello in wire.HELLO_VERSIONS):
-            return False  # strict prefix: the rest is still in flight
-        conn.mode = _JSON
-        return True
+    def _negotiate(self, conn: _Connection, chunk: bytes) -> bytes | None:
+        """Match the opening bytes against the hello.
 
-    def _dispatch_binary(
+        Returns what follows the hello once it is complete (the echo is
+        queued and the decoder created), ``None`` while more bytes are
+        needed, and raises at the first byte that breaks the prefix.
+        Only the bytes still missing from the hello are buffered.
+        """
+        need = len(wire.HELLO_V2) - len(conn.hello)
+        conn.hello += chunk[:need]
+        if not wire.HELLO_V2.startswith(conn.hello):
+            raise TransportError(
+                f"connection did not open with {wire.HELLO_V2!r}"
+            )
+        if len(conn.hello) < len(wire.HELLO_V2):
+            return None
+        conn.decoder = wire.FrameDecoder(self.max_frame_bytes)
+        self._queue_bytes(conn, wire.HELLO_V2)
+        return chunk[need:]
+
+    def _dispatch_frame(
         self, conn: _Connection, opcode: int, corr_id: int, payload: bytes
     ) -> None:
         self.counters.frame_in()
@@ -439,11 +447,11 @@ class EventLoopServer:
         self.counters.dispatch_started()
         future.add_done_callback(
             lambda done, conn=conn, corr_id=corr_id: self._schedule(
-                self._complete_binary, conn, corr_id, done
+                self._complete_frame, conn, corr_id, done
             )
         )
 
-    def _complete_binary(self, conn: _Connection, corr_id: int, done) -> None:
+    def _complete_frame(self, conn: _Connection, corr_id: int, done) -> None:
         """Loop-thread completion: route a response to its frame."""
         if done in conn.pending:
             conn.pending.discard(done)
@@ -458,69 +466,6 @@ class EventLoopServer:
             )
         self._queue_frame(conn, corr_id, response)
         self._maybe_finish_drain(conn)
-
-    def _consume_json(self, conn: _Connection) -> None:
-        while not conn.closed:
-            newline = conn.inbuf.find(b"\n")
-            if newline < 0:
-                if len(conn.inbuf) > self.max_frame_bytes:
-                    raise ValidationError(
-                        f"JSON line exceeds {self.max_frame_bytes} bytes"
-                    )
-                return
-            raw = bytes(conn.inbuf[:newline])
-            del conn.inbuf[: newline + 1]
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            self.counters.json_request()
-            try:
-                request = decode_request(line)
-            except ValidationError as err:
-                # Mirrors the threaded JSON loop: validation failures
-                # become bare-message envelopes on the same connection.
-                future = VeloxClient._completed(
-                    ApiResponse(ok=False, error=str(err))
-                )
-            else:
-                future = self.velox_client.dispatch_async(
-                    request, enqueue_time=conn.recv_stamp
-                )
-            conn.json_fifo.append(future)
-            self.counters.dispatch_started()
-            future.add_done_callback(
-                lambda done, conn=conn: self._schedule(self._pump_json, conn)
-            )
-
-    def _pump_json(self, conn: _Connection) -> None:
-        """Flush completed JSON responses strictly in request order."""
-        flushed = False
-        while conn.json_fifo and conn.json_fifo[0].done():
-            done = conn.json_fifo.popleft()
-            self.counters.dispatch_finished()
-            flushed = True
-            if conn.closed:
-                continue  # keep draining the fifo for exact gauges
-            try:
-                response = done.result()
-            except Exception as err:
-                response = ApiResponse(
-                    ok=False, error=f"{type(err).__name__}: {err}"
-                )
-            try:
-                encoded = (encode_response(response) + "\n").encode("utf-8")
-            except Exception as err:  # unserializable payload
-                encoded = (
-                    encode_response(
-                        ApiResponse(
-                            ok=False, error=f"{type(err).__name__}: {err}"
-                        )
-                    )
-                    + "\n"
-                ).encode("utf-8")
-            self._queue_bytes(conn, encoded)
-        if flushed:
-            self._maybe_finish_drain(conn)
 
     # -- writes & backpressure ------------------------------------------------
 
@@ -641,7 +586,6 @@ class EventLoopServer:
             and not conn.closed
             and not conn.outbuf
             and not conn.pending
-            and not conn.json_fifo
         ):
             self._close(conn)
 
@@ -669,9 +613,6 @@ class EventLoopServer:
         for _ in range(len(conn.pending)):
             self.counters.dispatch_finished()
         conn.pending.clear()
-        for _ in range(len(conn.json_fifo)):
-            self.counters.dispatch_finished()
-        conn.json_fifo.clear()
         self.counters.connection_closed()
 
     def __enter__(self) -> "EventLoopServer":

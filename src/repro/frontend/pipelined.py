@@ -1,7 +1,7 @@
 """Pipelined socket client: many in-flight requests per connection.
 
-:class:`RemoteClient` sends one request and blocks for its response, so
-a connection's throughput is bounded by one round trip per request and a
+A client that sends one request and blocks for its response bounds a
+connection's throughput by one round trip per request, and a
 server-side adaptive batcher only ever sees batches of one from it.
 :class:`PipelinedClient` keeps a window of correlated requests in flight
 on a single socket: ``submit`` frames and sends immediately and returns
@@ -10,11 +10,8 @@ a future; a reader thread completes futures as response frames arrive
 :class:`ConnectionPool` spreads submissions across several pipelined
 connections for multi-connection load generators.
 
-Both classes negotiate the binary framed protocol on connect and fall
-back to JSON-lines transparently when the server predates it; in the
-fallback, responses arrive strictly in order, so futures are matched
-FIFO instead of by correlation id. Transport failures (timeouts,
-connection loss, truncated frames) surface as
+Transport failures (a refused hello, timeouts, connection loss,
+truncated frames) surface as
 :class:`~repro.common.errors.TransportError` with the connection closed
 and every pending future failed — nothing blocks forever on a dead
 socket.
@@ -25,21 +22,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 
 from repro.common.errors import OverloadedError, TransportError
 from repro.frontend import wire
-from repro.frontend.api import (
-    AnalyticsApiRequest,
-    ApiResponse,
-    decode_response,
-    encode_request,
-)
-
-#: Protocol names reported by :attr:`PipelinedClient.protocol`.
-PROTOCOL_BINARY = "binary"
-PROTOCOL_JSON = "json"
+from repro.frontend.api import AnalyticsApiRequest, ApiResponse
 
 
 class PipelinedClient:
@@ -68,7 +55,6 @@ class PipelinedClient:
         host: str,
         port: int,
         timeout: float = 10.0,
-        prefer_binary: bool = True,
         max_inflight: int | None = None,
         block_on_full: bool = True,
     ):
@@ -91,22 +77,11 @@ class PipelinedClient:
         #: — the connection is unusable even though close() wasn't called.
         self._dead = False
         self._next_corr = 0
-        #: corr id -> future (binary) / FIFO of futures (JSON fallback).
+        #: corr id -> future.
         self._pending: dict[int, Future] = {}
-        self._fifo: deque[Future] = deque()
-        #: JSON-mode futures whose callers gave up waiting. They keep
-        #: their deque position (FIFO response matching needs it) but no
-        #: longer consume a ``max_inflight`` slot; the reader discards
-        #: their responses on arrival.
-        self._abandoned: set[Future] = set()
         #: calls abandoned at timeout (window slots recovered).
         self.timed_out = 0
-        #: binary payload dialect negotiated with the server (2 adds the
-        #: optional trailing deadline/degraded request fields).
-        self.wire_version = 1
-        self.protocol = (
-            self._negotiate() if prefer_binary else PROTOCOL_JSON
-        )
+        self._negotiate()
         # ``timeout`` bounds connect and negotiation only. Clear it so
         # the reader thread blocks indefinitely between responses — an
         # idle window is not a transport failure; per-call deadlines are
@@ -117,44 +92,27 @@ class PipelinedClient:
         )
         self._reader.start()
 
-    def _negotiate(self) -> str:
-        """Offer binary v2; accept whatever the server answers.
-
-        A v2 binary server echoes the v2 hello line; a v1 binary server
-        may echo the v1 hello (we speak v1 frames to it); a JSON-lines
-        server answers the (to it, malformed) hello with a one-line
-        error envelope, which tells us to fall back.
-        """
+    def _negotiate(self) -> None:
+        """Send the hello; the server must echo it before frames flow."""
         try:
             self._sock.sendall(wire.HELLO_V2)
             answer = self._rfile.readline()
         except OSError as err:
             self._teardown()
             raise TransportError(f"protocol negotiation failed: {err}") from err
-        if answer == wire.HELLO_V2:
-            self.wire_version = 2
-            return PROTOCOL_BINARY
-        if answer == wire.HELLO:
-            self.wire_version = 1
-            return PROTOCOL_BINARY
-        if answer.startswith(b"{"):
-            return PROTOCOL_JSON  # old server: its error reply is discarded
-        self._teardown()
-        raise TransportError(
-            f"protocol negotiation failed: unexpected answer {answer!r}"
-        )
+        if answer != wire.HELLO_V2:
+            self._teardown()
+            raise TransportError(
+                f"protocol negotiation failed: unexpected answer {answer!r}"
+            )
 
     # -- submission ----------------------------------------------------------
-
-    def _inflight_locked(self) -> int:
-        """Window occupancy; abandoned FIFO tombstones don't count."""
-        return len(self._pending) + len(self._fifo) - len(self._abandoned)
 
     def _reserve_slot_locked(self) -> None:
         """Enforce the ``max_inflight`` window; callers hold the lock."""
         if self._max_inflight is None:
             return
-        inflight = self._inflight_locked()
+        inflight = len(self._pending)
         if inflight < self._max_inflight:
             return
         if not self._block_on_full:
@@ -163,7 +121,7 @@ class PipelinedClient:
                 f"window full ({inflight}/{self._max_inflight} in flight)",
             )
         deadline = time.monotonic() + self._timeout
-        while self._inflight_locked() >= self._max_inflight:
+        while len(self._pending) >= self._max_inflight:
             if self._closed or self._dead:
                 raise TransportError("client is closed")
             remaining = deadline - time.monotonic()
@@ -184,29 +142,17 @@ class PipelinedClient:
             if self._closed or self._dead:
                 raise TransportError("client is closed")
             self._reserve_slot_locked()
-            if self.protocol == PROTOCOL_BINARY:
-                corr_id = self._next_corr
-                self._next_corr += 1
-                frame = wire.encode_request_frame(
-                    request, corr_id, wire_version=self.wire_version
-                )
-                future._velox_corr = corr_id
-                self._pending[corr_id] = future
-                try:
-                    self._sock.sendall(frame)
-                except OSError as err:
-                    self._pending.pop(corr_id, None)
-                    self._fail_pending_locked(err)
-                    raise TransportError(f"send failed: {err}") from err
-            else:
-                line = (encode_request(request) + "\n").encode("utf-8")
-                self._fifo.append(future)
-                try:
-                    self._sock.sendall(line)
-                except OSError as err:
-                    self._fifo.remove(future)
-                    self._fail_pending_locked(err)
-                    raise TransportError(f"send failed: {err}") from err
+            corr_id = self._next_corr
+            self._next_corr += 1
+            frame = wire.encode_request_frame(request, corr_id)
+            future._velox_corr = corr_id
+            self._pending[corr_id] = future
+            try:
+                self._sock.sendall(frame)
+            except OSError as err:
+                self._pending.pop(corr_id, None)
+                self._fail_pending_locked(err)
+                raise TransportError(f"send failed: {err}") from err
         return future
 
     def call(self, request, timeout: float | None = None) -> ApiResponse:
@@ -226,22 +172,11 @@ class PipelinedClient:
             ) from err
 
     def _abandon(self, future: Future) -> None:
-        """Release a timed-out call's window slot.
-
-        Binary mode drops the correlation entry outright (a late
-        response for an unknown id is ignored by the reader). JSON mode
-        must keep the future's FIFO position so subsequent responses
-        still match their callers; it is tombstoned instead and skipped
-        by the window accounting.
-        """
+        """Release a timed-out call's window slot: drop its correlation
+        entry (the reader ignores a late response for an unknown id)."""
         with self._lock:
             self.timed_out += 1
-            corr_id = getattr(future, "_velox_corr", None)
-            if corr_id is not None:
-                if self._pending.pop(corr_id, None) is not None:
-                    self._slot.notify()
-            elif future in self._fifo and future not in self._abandoned:
-                self._abandoned.add(future)
+            if self._pending.pop(future._velox_corr, None) is not None:
                 self._slot.notify()
 
     def analytics(
@@ -275,7 +210,7 @@ class PipelinedClient:
     def in_flight(self) -> int:
         """Number of submitted requests still awaiting responses."""
         with self._lock:
-            return self._inflight_locked()
+            return len(self._pending)
 
     @property
     def closed(self) -> bool:
@@ -289,34 +224,18 @@ class PipelinedClient:
     def _read_loop(self) -> None:
         try:
             while True:
-                if self.protocol == PROTOCOL_BINARY:
-                    frame = wire.read_frame(self._rfile)
-                    if frame is None:
-                        raise TransportError("server closed the connection")
-                    opcode, corr_id, payload = frame
-                    if opcode != wire.OP_RESPONSE:
-                        raise TransportError(
-                            f"unexpected opcode {opcode} from server"
-                        )
-                    response = wire.decode_response_payload(payload)
-                    with self._lock:
-                        future = self._pending.pop(corr_id, None)
-                        self._slot.notify()
-                else:
-                    line = self._rfile.readline()
-                    if not line:
-                        raise TransportError("server closed the connection")
-                    response = decode_response(line.decode("utf-8"))
-                    with self._lock:
-                        future = (
-                            self._fifo.popleft() if self._fifo else None
-                        )
-                        if future is not None and future in self._abandoned:
-                            # The caller timed out long ago; its slot was
-                            # already released. Discard the response.
-                            self._abandoned.discard(future)
-                            future = None
-                        self._slot.notify()
+                frame = wire.read_frame(self._rfile)
+                if frame is None:
+                    raise TransportError("server closed the connection")
+                opcode, corr_id, payload = frame
+                if opcode != wire.OP_RESPONSE:
+                    raise TransportError(
+                        f"unexpected opcode {opcode} from server"
+                    )
+                response = wire.decode_response_payload(payload)
+                with self._lock:
+                    future = self._pending.pop(corr_id, None)
+                    self._slot.notify()
                 if future is not None:
                     future.set_result(response)
         except Exception as err:
@@ -342,11 +261,6 @@ class PipelinedClient:
             if not future.done():
                 future.set_exception(error)
         self._pending.clear()
-        while self._fifo:
-            future = self._fifo.popleft()
-            if future not in self._abandoned and not future.done():
-                future.set_exception(error)
-        self._abandoned.clear()
         self._slot.notify_all()
 
     # -- lifecycle -----------------------------------------------------------
@@ -402,7 +316,6 @@ class ConnectionPool:
         port: int,
         size: int = 4,
         timeout: float = 10.0,
-        prefer_binary: bool = True,
         reconnect_backoff: float = 0.05,
         max_reconnect_backoff: float = 2.0,
         max_inflight: int | None = None,
@@ -426,7 +339,6 @@ class ConnectionPool:
         self._host = host
         self._port = port
         self._timeout = timeout
-        self._prefer_binary = prefer_binary
         self._max_inflight = max_inflight
         self._block_on_full = block_on_full
         self._initial_backoff = reconnect_backoff
@@ -464,21 +376,12 @@ class ConnectionPool:
             self._host,
             self._port,
             timeout=self._timeout,
-            prefer_binary=self._prefer_binary,
             max_inflight=self._max_inflight,
             block_on_full=self._block_on_full,
         )
 
     def __len__(self) -> int:
         return len(self._clients)
-
-    @property
-    def protocol(self) -> str:
-        """The negotiated protocol (uniform across the pool)."""
-        for client in self._clients:
-            if client is not None:
-                return client.protocol
-        raise TransportError("every pooled connection is down")
 
     def _reconnect_locked(self, index: int) -> PipelinedClient | None:
         """Try to heal one dead slot; None while in backoff or still down."""

@@ -1,27 +1,17 @@
-"""Length-prefixed binary framing for the prediction wire protocol.
-
-The JSON-lines codec in :mod:`repro.frontend.api` is simple and
-debuggable but expensive on the hot path: every float in an item payload
-round-trips through UTF-8 text, and the line framing forces a parse per
-request. This module provides the compact alternative the frontend
-negotiates on connect:
+"""Length-prefixed binary framing: the prediction wire protocol.
 
 * **Frames** — ``u32 length | u8 opcode | u64 correlation id | payload``
   (big-endian). The opcode identifies the request method (or marks a
   response); the correlation id lets many requests share one connection
   out of order, which is what makes client pipelining possible.
 * **Values** — a small tagged binary term format (ints, floats, bools,
-  strings, None, lists, string-keyed dicts) mirroring exactly what the
-  JSON codec can express, plus a native ndarray term encoded as
-  ``dtype | shape | raw bytes`` so feature vectors cross the wire as a
-  memcpy instead of a float-repr list.
-* **Negotiation** — a client that wants binary sends the newline
-  terminated :data:`HELLO` preamble. A new server peeks the magic and
-  answers in kind before switching to frames; an old JSON-lines server
-  answers with a one-line JSON error envelope, which the client reads
-  as "binary not spoken here" and falls back to JSON-lines. Old clients
-  never send the preamble, so a new server serves them JSON-lines
-  unchanged. Both directions stay compatible.
+  strings, None, lists, string-keyed dicts), plus a native ndarray term
+  encoded as ``dtype | shape | raw bytes`` so feature vectors cross the
+  wire as a memcpy instead of a float-repr list.
+* **Negotiation** — a client opens with the newline terminated
+  :data:`HELLO_V2` preamble and the server echoes it before either side
+  sends frames. A server closes a connection that opens with anything
+  else; a client treats any other answer as a transport failure.
 
 Framing/decoding failures raise
 :class:`~repro.common.errors.TransportError` (truncation, oversized or
@@ -49,24 +39,10 @@ from repro.frontend.api import (
     TopKCatalogApiRequest,
 )
 
-#: Magic preamble naming the protocol and its version. Sent (newline
-#: terminated) by clients that want binary; echoed by servers that
-#: accept. The trailing digit is the protocol version.
-MAGIC = b"VLXB1"
-#: The full negotiation line: magic + newline, so a JSON-lines server
-#: consumes it as one (malformed) request line and stays in sync.
-HELLO = MAGIC + b"\n"
-#: Protocol version 2 adds optional trailing deadline/degraded fields
-#: to predict and top-k request payloads. A v2 client opens with this
-#: preamble; a v2 server echoes it back. A v1-only binary server — or a
-#: JSON-lines server — answers with something else, and the client
-#: falls back (to v1 frames or JSON-lines respectively). V1 *decoders*
-#: already ignore trailing payload bytes, so the version split exists
-#: to make the capability explicit, not to protect old parsers.
+#: Magic preamble naming the protocol and its version (the trailing
+#: digit). Sent newline terminated by clients; echoed by the server.
 MAGIC_V2 = b"VLXB2"
 HELLO_V2 = MAGIC_V2 + b"\n"
-#: Hellos a binary server accepts, mapped to the protocol version.
-HELLO_VERSIONS = {HELLO: 1, HELLO_V2: 2}
 
 #: Frame header: u32 total length of (opcode + corr id + payload),
 #: u8 opcode, u64 correlation id.
@@ -110,8 +86,7 @@ _T_NDARRAY = 5
 _T_LIST = 6
 _T_DICT = 7
 #: Homogeneous list fast paths: one struct.pack for the whole list
-#: instead of a tagged term per element. Decodes back to a plain list,
-#: so the JSON equivalence is unchanged.
+#: instead of a tagged term per element. Decodes back to a plain list.
 _T_I64_LIST = 8
 _T_F64_LIST = 9
 
@@ -140,9 +115,8 @@ def reset_ndarray_forced_copies() -> None:
 def pack_value(out: bytearray, value: object) -> None:
     """Append one tagged value to ``out``.
 
-    Mirrors the JSON codec's normalisation so the two codecs stay
-    equivalent: numpy scalars become python scalars and tuples become
-    lists. Types neither codec supports raise ``ValidationError``.
+    Numpy scalars become python scalars and tuples become lists.
+    Unsupported types raise ``ValidationError``.
     """
     # bool first: it is a subclass of int and must keep its own tag.
     if value is None:
@@ -208,8 +182,8 @@ def pack_value(out: bytearray, value: object) -> None:
 
 
 def _coerce_key(key: object) -> str:
-    """Non-string dict keys become the strings ``json.dumps`` would
-    emit, so both codecs put identical payloads on the wire.
+    """Non-string dict keys (histogram buckets and the like in status
+    payloads) become the strings ``json.dumps`` would emit.
     """
     if isinstance(key, bool):
         return "true" if key else "false"
@@ -266,9 +240,6 @@ class _Cursor:
         self.pos += n
         return chunk
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
 
 def unpack_value(cursor: _Cursor) -> object:
     """Read one tagged value from the cursor."""
@@ -323,8 +294,8 @@ def _pack_values(*values: object) -> bytes:
 
 
 def _wire_item(item: object) -> object:
-    """Normalise an item payload the way the JSON codec does, except
-    ndarrays stay native (that is the point of the binary codec)."""
+    """Normalise an item payload: scalars and ndarrays pass through,
+    sequences become lists, anything else is refused."""
     if isinstance(item, (bool, int, float, str, np.integer, np.floating,
                          np.ndarray)):
         return item
@@ -443,47 +414,26 @@ class FrameDecoder:
 # -- request/response codecs ------------------------------------------------
 
 
-def encode_request_frame(request, corr_id: int, wire_version: int = 2) -> bytes:
-    """One API request object -> one framed binary request.
-
-    ``wire_version`` selects the payload dialect: version 2 appends the
-    optional trailing ``deadline``/``degraded`` fields to predict and
-    top-k requests; version 1 omits them (for peers that negotiated the
-    original :data:`HELLO`). The fields are trailing precisely so a v1
-    decoder that *does* receive them ignores the extra bytes.
-    """
+def encode_request_frame(request, corr_id: int) -> bytes:
+    """One API request object -> one framed binary request."""
     opcode = REQUEST_OPCODES.get(type(request))
     if opcode is None:
         raise ValidationError(f"unknown request type {type(request).__name__}")
     if opcode == OP_PREDICT:
-        if wire_version >= 2:
-            payload = _pack_values(
-                request.uid, _wire_item(request.item), request.model,
-                request.deadline, bool(request.degraded),
-            )
-        else:
-            payload = _pack_values(
-                request.uid, _wire_item(request.item), request.model
-            )
+        payload = _pack_values(
+            request.uid, _wire_item(request.item), request.model,
+            request.deadline, bool(request.degraded),
+        )
     elif opcode == OP_TOP_K:
-        if wire_version >= 2:
-            payload = _pack_values(
-                request.uid,
-                request.k,
-                request.model,
-                request.policy,
-                [_wire_item(x) for x in request.items],
-                request.deadline,
-                bool(request.degraded),
-            )
-        else:
-            payload = _pack_values(
-                request.uid,
-                request.k,
-                request.model,
-                request.policy,
-                [_wire_item(x) for x in request.items],
-            )
+        payload = _pack_values(
+            request.uid,
+            request.k,
+            request.model,
+            request.policy,
+            [_wire_item(x) for x in request.items],
+            request.deadline,
+            bool(request.degraded),
+        )
     elif opcode == OP_OBSERVE:
         payload = _pack_values(
             request.uid,
@@ -514,34 +464,27 @@ def encode_request_frame(request, corr_id: int, wire_version: int = 2) -> bytes:
     return encode_frame(opcode, corr_id, payload)
 
 
-def _unpack_request_extras(cursor: _Cursor) -> tuple[float | None, bool]:
-    """The optional trailing (deadline, degraded) fields, if present.
-
-    A v1 peer's payload ends before them; a v2 peer always writes both.
-    """
-    if cursor.done():
-        return None, False
-    deadline = unpack_value(cursor)
-    degraded = False if cursor.done() else bool(unpack_value(cursor))
-    return (None if deadline is None else float(deadline)), degraded
-
-
 def decode_request_payload(opcode: int, payload: bytes):
     """One frame's opcode + payload -> one API request object."""
     cursor = _Cursor(payload)
     if opcode == OP_PREDICT:
-        uid, item, model = (unpack_value(cursor) for _ in range(3))
-        deadline, degraded = _unpack_request_extras(cursor)
+        uid, item, model, deadline, degraded = (
+            unpack_value(cursor) for _ in range(5)
+        )
         return PredictApiRequest(
             uid=int(uid), item=item, model=model,
-            deadline=deadline, degraded=degraded,
+            deadline=None if deadline is None else float(deadline),
+            degraded=bool(degraded),
         )
     if opcode == OP_TOP_K:
-        uid, k, model, policy, items = (unpack_value(cursor) for _ in range(5))
-        deadline, degraded = _unpack_request_extras(cursor)
+        uid, k, model, policy, items, deadline, degraded = (
+            unpack_value(cursor) for _ in range(7)
+        )
         return TopKApiRequest(
             uid=int(uid), items=tuple(items), k=int(k), model=model,
-            policy=policy, deadline=deadline, degraded=degraded,
+            policy=policy,
+            deadline=None if deadline is None else float(deadline),
+            degraded=bool(degraded),
         )
     if opcode == OP_OBSERVE:
         uid, item, label, model, validation = (

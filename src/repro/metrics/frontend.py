@@ -1,15 +1,14 @@
 """Front-end transport counters, exported by the status endpoint.
 
-Both TCP front ends (the event-loop server and the threaded fallback)
-feed one :class:`FrontendCounters` instance and publish its snapshot
-under the ``"frontend"`` key of the status response, so operators can
-see transport-level pressure — open sockets, bytes in/out, read-paused
-(backpressured) connections, and in-flight dispatch depth — next to the
-serving engine's queue metrics.
+The event-loop server feeds one :class:`FrontendCounters` instance and
+publishes its snapshot under the ``"frontend"`` key of the status
+response, so operators can see transport-level pressure — open sockets,
+bytes in/out, read-paused (backpressured) connections, and in-flight
+dispatch depth — next to the serving engine's queue metrics.
 
-The event-loop server mutates these from a single thread; the threaded
-server from many. A lock keeps the counters exact either way (the
-per-call cost is one uncontended lock acquire, far below a syscall).
+The loop thread mutates these; status requests and tests read them from
+other threads. A lock keeps every snapshot consistent (the per-call
+cost is one uncontended lock acquire, far below a syscall).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ class FrontendCounters:
 
     Gauges (``open_connections``, ``read_paused``, ``dispatch_depth``)
     track current state; totals only ever grow. ``snapshot`` returns a
-    plain dict safe to serialize over either wire codec.
+    plain dict safe to serialize over the wire codec.
     """
 
     def __init__(self, kind: str):
@@ -38,7 +37,6 @@ class FrontendCounters:
         self.bytes_out = 0
         self.frames_in = 0
         self.frames_out = 0
-        self.json_requests = 0
         self.dispatched_total = 0
         self.pause_events = 0
         self.protocol_errors = 0
@@ -72,10 +70,6 @@ class FrontendCounters:
         with self._lock:
             self.frames_out += 1
 
-    def json_request(self) -> None:
-        with self._lock:
-            self.json_requests += 1
-
     def protocol_error(self) -> None:
         with self._lock:
             self.protocol_errors += 1
@@ -105,7 +99,7 @@ class FrontendCounters:
     # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (JSON-serializable)."""
+        """Point-in-time copy of every counter (plain, serializable values)."""
         with self._lock:
             return {
                 "kind": self.kind,
@@ -115,7 +109,6 @@ class FrontendCounters:
                 "bytes_out": self.bytes_out,
                 "frames_in": self.frames_in,
                 "frames_out": self.frames_out,
-                "json_requests": self.json_requests,
                 "dispatch_depth": self.dispatch_depth,
                 "dispatched_total": self.dispatched_total,
                 "read_paused": self.read_paused,

@@ -20,7 +20,7 @@ from repro.analytics import (
     execute_scan,
 )
 from repro.common.errors import ConfigError, StorageError, ValidationError
-from repro.frontend import AnalyticsApiRequest, PipelinedClient, RemoteClient, VeloxServer
+from repro.frontend import AnalyticsApiRequest, PipelinedClient, VeloxServer
 from repro.frontend.client import VeloxClient
 from repro.store import Observation, ObservationLog, VeloxStore
 
@@ -469,19 +469,16 @@ class TestFrontend:
         ).result(5)
         assert name.startswith("velox-analytics")
 
-    def test_analytics_over_both_wire_protocols(self, deployed_velox):
+    def test_analytics_over_the_socket(self, deployed_velox):
         client = VeloxClient(deployed_velox)
         for i in range(30):
             client.observe(uid=i % 5, item=i % 7, label=1.0)
         with VeloxServer(deployed_velox) as server:
-            with PipelinedClient(server.host, server.port) as binary:
-                assert binary.protocol == "binary"
-                response = binary.analytics(uid=2, agg="count")
+            with PipelinedClient(server.host, server.port) as remote:
+                response = remote.analytics(uid=2, agg="count")
                 assert response.ok, response.error
                 assert response.payload["plan"]["route"] == "mv:user"
-            with RemoteClient(server.host, server.port) as json_client:
-                response_json = json_client.call(
-                    AnalyticsApiRequest(uid=2, agg="count")
-                )
-                assert response_json.ok
-                assert response_json.payload == response.payload
+                # the convenience method and a plain call agree
+                again = remote.call(AnalyticsApiRequest(uid=2, agg="count"))
+                assert again.ok
+                assert again.payload == response.payload

@@ -1,10 +1,11 @@
-"""Event-loop front end: selection knob, framing robustness under
+"""Event-loop front end: bounded negotiation, framing robustness under
 hostile clients, write-side backpressure, clean teardown, and the
 pipelined client's in-flight window."""
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import socket
 import struct
@@ -14,6 +15,7 @@ from concurrent.futures import Future
 
 import pytest
 
+import repro.frontend
 from repro import VeloxConfig
 from repro.common.errors import (
     ConfigError,
@@ -25,18 +27,11 @@ from repro.frontend import (
     EventLoopServer,
     PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     StatusApiRequest,
     VeloxServer,
-    encode_request,
 )
 from repro.frontend import wire
-from repro.frontend.api import decode_response
-from repro.frontend.eventloop import EventLoopServer as _DirectEventLoop
-from repro.frontend.server import _ThreadedFrontend
 from repro.serving import ServingConfig
-
-BOTH_FRONTENDS = pytest.mark.parametrize("frontend", ["eventloop", "threaded"])
 
 
 def _read_hello(sock: socket.socket) -> None:
@@ -46,7 +41,7 @@ def _read_hello(sock: socket.socket) -> None:
         chunk = sock.recv(1)
         assert chunk, "server closed during negotiation"
         got += chunk
-    assert got == wire.HELLO
+    assert got == wire.HELLO_V2
 
 
 def _poll(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
@@ -58,57 +53,107 @@ def _poll(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
     return predicate()
 
 
-class TestFrontendSelection:
-    def test_config_rejects_unknown_frontend(self):
-        with pytest.raises(ConfigError, match="frontend"):
-            VeloxConfig(frontend="carrier-pigeon")
+class TestOneFrontEnd:
+    def test_velox_server_is_the_event_loop_server(self):
+        assert VeloxServer is EventLoopServer
+        assert not hasattr(repro.frontend, "RemoteClient")
 
-    def test_config_accepts_both_frontends(self):
-        assert VeloxConfig(frontend="threaded").frontend == "threaded"
-        assert VeloxConfig().frontend == "eventloop"  # the default
-
-    def test_facade_selects_implementation(self, deployed_velox):
-        ev = VeloxServer(deployed_velox, frontend="eventloop")
-        th = VeloxServer(deployed_velox, frontend="threaded")
-        try:
-            assert isinstance(ev._server, EventLoopServer)
-            assert isinstance(th._server, _ThreadedFrontend)
-            assert ev.frontend == "eventloop"
-            assert th.frontend == "threaded"
-        finally:
-            ev.stop()
-            th.stop()
-
-    def test_facade_defaults_to_config_knob(self, deployed_velox):
-        # deployed_velox uses the default config => eventloop.
-        server = VeloxServer(deployed_velox)
-        try:
-            assert isinstance(server._server, EventLoopServer)
-        finally:
-            server.stop()
-
-    def test_facade_rejects_unknown_frontend(self, deployed_velox):
-        with pytest.raises(ValidationError, match="frontend"):
-            VeloxServer(deployed_velox, frontend="smoke-signals")
+    def test_config_has_no_frontend_field(self):
+        assert not hasattr(VeloxConfig(), "frontend")
+        saved = json.loads(VeloxConfig().to_json())
+        saved["frontend"] = "threaded"
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            VeloxConfig.from_json(json.dumps(saved))
 
     def test_eventloop_rejects_bad_watermarks(self, deployed_velox):
         with pytest.raises(ValidationError, match="watermark"):
             EventLoopServer(deployed_velox, high_water=100, low_water=100)
 
+    def test_engine_lifecycle_follows_the_server(self, deployed_velox):
+        engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
+        server = EventLoopServer(deployed_velox, engine=engine)
+        assert not engine.running
+        server.start()
+        try:
+            assert engine.running
+            assert (server.host, server.port) == server.server_address
+        finally:
+            server.stop()
+        assert not engine.running
+        engine.stop()  # a later explicit stop stays harmless
+        server.stop()
+
+
+class TestRefusedConnections:
+    """A connection that does not open with ``VLXB2\\n`` is closed at
+    the first byte that breaks the prefix, without a reply, and nobody
+    else on the server notices."""
+
+    @pytest.mark.parametrize(
+        "opening",
+        [
+            b'{"method": "predict", "uid": 1, "item": 2}\n',
+            b"VLXB1\n",
+            bytes(range(200, 256)) * 4,
+        ],
+        ids=["json-line", "v1-hello", "random-bytes"],
+    )
+    def test_wrong_opening_is_refused(self, deployed_velox, opening):
+        with VeloxServer(deployed_velox) as server:
+            with PipelinedClient(server.host, server.port) as good:
+                sock = socket.create_connection(
+                    (server.host, server.port), timeout=5
+                )
+                try:
+                    sock.sendall(opening)
+                    assert sock.recv(64) == b""  # closed, nothing said
+                except ConnectionResetError:
+                    pass  # unread bytes at close turn the FIN into a RST
+                finally:
+                    sock.close()
+                assert _poll(
+                    lambda: server.counters.snapshot()["protocol_errors"] == 1
+                )
+                assert _poll(
+                    lambda: server.counters.snapshot()["open_connections"] == 1
+                )
+                response = good.call(PredictApiRequest(uid=1, item=2))
+                assert response.ok, response.error
+            with PipelinedClient(server.host, server.port) as later:
+                assert later.call(PredictApiRequest(uid=1, item=3)).ok
+
+    def test_negotiation_buffer_is_bounded_by_the_hello(self, deployed_velox):
+        """Only the bytes still missing from the hello are ever kept,
+        however much arrives with them."""
+        server = EventLoopServer(deployed_velox)
+        try:
+            ours, theirs = socket.socketpair()
+            conn = repro.frontend.eventloop._Connection(theirs)
+            assert server._negotiate(conn, b"VLX") is None
+            assert bytes(conn.hello) == b"VLX"
+            with pytest.raises(TransportError, match="did not open with"):
+                server._negotiate(conn, b"x" * 100_000)
+            assert len(conn.hello) <= len(wire.HELLO_V2)
+            ours.close()
+            theirs.close()
+        finally:
+            server.stop()
+
 
 class TestSlowAndHostileClients:
-    @BOTH_FRONTENDS
-    def test_byte_at_a_time_binary_request(self, deployed_velox, frontend):
-        """A slow-loris client trickling one byte per send still gets a
-        correct response: both servers reassemble incrementally."""
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+    def test_byte_at_a_time_binary_request(self, deployed_velox):
+        """A slow-loris client trickling one byte per send — hello
+        included — still gets a correct response: the server
+        reassembles incrementally."""
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
             try:
                 request = wire.encode_request_frame(
                     PredictApiRequest(uid=1, item=2), 77
                 )
-                for i in range(len(wire.HELLO)):
-                    sock.sendall(wire.HELLO[i : i + 1])
+                for i in range(len(wire.HELLO_V2)):
+                    sock.sendall(wire.HELLO_V2[i : i + 1])
+                    time.sleep(0.002)  # one recv per byte, not one per hello
                 _read_hello(sock)
                 for i in range(len(request)):
                     sock.sendall(request[i : i + 1])
@@ -121,34 +166,16 @@ class TestSlowAndHostileClients:
                 response = wire.decode_response_payload(payload)
                 assert response.ok, response.error
                 assert response.payload["item"] == 2
+                assert server.counters.snapshot()["protocol_errors"] == 0
             finally:
                 sock.close()
 
-    @BOTH_FRONTENDS
-    def test_byte_at_a_time_json_request(self, deployed_velox, frontend):
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
-            sock = socket.create_connection((server.host, server.port), timeout=10)
-            try:
-                line = (
-                    encode_request(PredictApiRequest(uid=1, item=3)) + "\n"
-                ).encode("utf-8")
-                for i in range(len(line)):
-                    sock.sendall(line[i : i + 1])
-                response = decode_response(
-                    sock.makefile("rb").readline().decode("utf-8")
-                )
-                assert response.ok, response.error
-                assert response.payload["item"] == 3
-            finally:
-                sock.close()
-
-    @BOTH_FRONTENDS
-    def test_mid_frame_disconnect_does_not_wedge(self, deployed_velox, frontend):
+    def test_mid_frame_disconnect_does_not_wedge(self, deployed_velox):
         """A client dying mid-frame must not wedge the server: later
         connections are served normally."""
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
-            sock.sendall(wire.HELLO)
+            sock.sendall(wire.HELLO_V2)
             _read_hello(sock)
             # Header promising a 1000-byte frame, then vanish mid-body.
             sock.sendall(struct.pack(">IBQ", 1000, wire.OP_PREDICT, 5))
@@ -158,15 +185,12 @@ class TestSlowAndHostileClients:
                 response = client.call(PredictApiRequest(uid=1, item=2))
                 assert response.ok, response.error
 
-    @BOTH_FRONTENDS
-    def test_oversized_frame_rejected_before_allocation(
-        self, deployed_velox, frontend
-    ):
+    def test_oversized_frame_rejected_before_allocation(self, deployed_velox):
         """A hostile length prefix drops the connection with a typed
         error, and the server keeps serving everyone else."""
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
-            sock.sendall(wire.HELLO)
+            sock.sendall(wire.HELLO_V2)
             _read_hello(sock)
             sock.sendall(
                 struct.pack(">IBQ", wire.MAX_FRAME_BYTES + 1, wire.OP_PREDICT, 5)
@@ -190,9 +214,8 @@ class TestEventLoopServing:
             item: deployed_velox.service.predict("songs", 3, item).score
             for item in range(40)
         }
-        with VeloxServer(deployed_velox, engine=engine, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox, engine=engine) as server:
             with PipelinedClient(server.host, server.port) as client:
-                assert client.protocol == "binary"
                 futures = {
                     item: client.submit(PredictApiRequest(uid=3, item=item))
                     for item in range(40)
@@ -205,31 +228,8 @@ class TestEventLoopServing:
                         expected[item], abs=1e-9
                     )
 
-    def test_json_lines_stay_ordered_over_async_dispatch(self, deployed_velox):
-        """The JSON-lines contract is strict ordering; the event loop
-        must preserve it even though dispatch is asynchronous."""
-        engine = deployed_velox.serving_engine(
-            ServingConfig(num_workers=2, batching="adaptive", slo_p99=1.0)
-        )
-        with VeloxServer(deployed_velox, engine=engine, frontend="eventloop") as server:
-            sock = socket.create_connection((server.host, server.port), timeout=10)
-            try:
-                items = list(range(12))
-                burst = b"".join(
-                    (encode_request(PredictApiRequest(uid=2, item=item)) + "\n").encode()
-                    for item in items
-                )
-                sock.sendall(burst)
-                rfile = sock.makefile("rb")
-                for item in items:
-                    response = decode_response(rfile.readline().decode("utf-8"))
-                    assert response.ok, response.error
-                    assert response.payload["item"] == item
-            finally:
-                sock.close()
-
     def test_status_exposes_frontend_counters(self, deployed_velox):
-        with VeloxServer(deployed_velox, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox) as server:
             with PipelinedClient(server.host, server.port) as client:
                 payload = client.call(StatusApiRequest()).payload
                 counters = payload["frontend"]
@@ -239,26 +239,13 @@ class TestEventLoopServing:
                 assert counters["bytes_in"] > 0
                 assert counters["bytes_out"] > 0
                 assert counters["read_paused"] == 0
-        with VeloxServer(deployed_velox, frontend="threaded") as server:
-            with RemoteClient(server.host, server.port) as client:
-                counters = client.call(StatusApiRequest()).payload["frontend"]
-                assert counters["kind"] == "threaded"
-                assert counters["open_connections"] >= 1
-                assert counters["json_requests"] >= 1
-
-    def test_remote_client_against_eventloop(self, deployed_velox):
-        with VeloxServer(deployed_velox, frontend="eventloop") as server:
-            with RemoteClient(server.host, server.port) as client:
-                response = client.call(PredictApiRequest(uid=4, item=7))
-                assert response.ok, response.error
-                assert response.payload["item"] == 7
 
 
 class TestBackpressure:
     def test_write_pressure_pauses_and_resumes_reads(self, deployed_velox):
         """A client that sends but never reads must trip the high-water
         pause (visible in counters) and resume once it drains."""
-        server = _DirectEventLoop(
+        server = EventLoopServer(
             deployed_velox,
             high_water=32 * 1024,
             low_water=4 * 1024,
@@ -269,7 +256,7 @@ class TestBackpressure:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8 * 1024)
         try:
             sock.connect((host, port))
-            sock.sendall(wire.HELLO)
+            sock.sendall(wire.HELLO_V2)
             _read_hello(sock)
             total = 1200
             burst = b"".join(
@@ -305,7 +292,7 @@ class TestTeardown:
         flat: listener, wake pipe, selector, and conns all released."""
 
         def cycle() -> None:
-            with VeloxServer(deployed_velox, frontend="eventloop") as server:
+            with VeloxServer(deployed_velox) as server:
                 with PipelinedClient(server.host, server.port) as client:
                     assert client.call(PredictApiRequest(uid=1, item=2)).ok
 
@@ -319,9 +306,9 @@ class TestTeardown:
     def test_stop_fails_pending_client_futures(self, deployed_velox):
         """Stopping the server mid-flight surfaces TransportError on the
         client's pending futures instead of hanging them."""
-        server = VeloxServer(deployed_velox, frontend="eventloop").start()
+        server = VeloxServer(deployed_velox).start()
         stuck: Future = Future()  # never completes
-        server._server.velox_client.dispatch_async = (
+        server.velox_client.dispatch_async = (
             lambda request, enqueue_time=None: stuck
         )
         client = PipelinedClient(server.host, server.port)
@@ -337,14 +324,13 @@ class TestTeardown:
     def test_stop_before_start_releases_listener(self, deployed_velox):
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(3):
-            VeloxServer(deployed_velox, frontend="eventloop").stop()
-            VeloxServer(deployed_velox, frontend="threaded").stop()
+            VeloxServer(deployed_velox).stop()
         after = len(os.listdir("/proc/self/fd"))
         assert after <= before + 2
 
 
 class _SilentBinaryServer:
-    """Accepts connections, answers the binary hello, then swallows all
+    """Accepts connections, echoes the hello, then swallows all
     frames without ever responding — a black hole for in-flight tests."""
 
     def __init__(self):
@@ -376,7 +362,7 @@ class _SilentBinaryServer:
                 if not chunk:
                     return
                 got += chunk
-            conn.sendall(wire.HELLO)
+            conn.sendall(got)
             while conn.recv(65536):
                 pass
         except OSError:
@@ -427,7 +413,7 @@ class TestMaxInflight:
     def test_blocking_window_paces_against_live_server(self, deployed_velox):
         """With a responsive server the window never exceeds the cap and
         every submission eventually lands."""
-        with VeloxServer(deployed_velox, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox) as server:
             with PipelinedClient(
                 server.host, server.port, max_inflight=4
             ) as client:

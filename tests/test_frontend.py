@@ -1,69 +1,17 @@
-"""Front-end: codec round-trips, in-process client, TCP server."""
+"""Front-end: in-process client, TCP server."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.frontend import (
-    ApiResponse,
-    HealthApiRequest,
     ObserveApiRequest,
+    PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
-    RetrainApiRequest,
     TopKApiRequest,
     VeloxClient,
     VeloxServer,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
+    wire,
 )
-
-
-class TestCodec:
-    def test_predict_roundtrip(self):
-        original = PredictApiRequest(uid=3, item=17, model="songs")
-        decoded = decode_request(encode_request(original))
-        assert decoded == original
-
-    def test_topk_roundtrip(self):
-        original = TopKApiRequest(uid=1, items=(1, 2, 3), k=2, policy="linucb")
-        decoded = decode_request(encode_request(original))
-        assert decoded == original
-
-    def test_observe_roundtrip(self):
-        original = ObserveApiRequest(uid=9, item=4, label=3.5)
-        assert decode_request(encode_request(original)) == original
-
-    def test_observe_validation_flag_roundtrip(self):
-        original = ObserveApiRequest(uid=9, item=4, label=3.5, validation=True)
-        assert decode_request(encode_request(original)).validation is True
-
-    def test_ndarray_item_roundtrip(self):
-        original = PredictApiRequest(uid=1, item=np.array([1.0, 2.5]))
-        decoded = decode_request(encode_request(original))
-        assert np.array_equal(decoded.item, original.item)
-
-    def test_health_and_retrain_roundtrip(self):
-        assert decode_request(encode_request(HealthApiRequest("m"))).model == "m"
-        retrain = decode_request(encode_request(RetrainApiRequest("m", "why")))
-        assert retrain.reason == "why"
-
-    def test_response_roundtrip(self):
-        response = ApiResponse(ok=True, payload={"score": 3.5})
-        decoded = decode_response(encode_response(response))
-        assert decoded == response
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ValidationError):
-            decode_request("{not json")
-        with pytest.raises(ValidationError):
-            decode_response("{not json")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            decode_request('{"method": "drop_tables"}')
 
 
 class TestInProcessClient:
@@ -109,8 +57,6 @@ class TestInProcessClient:
 
 class TestNewEndpoints:
     def test_top_k_catalog_endpoint(self, deployed_velox):
-        from repro.frontend import TopKCatalogApiRequest, VeloxClient
-
         client = VeloxClient(deployed_velox)
         response = client.top_k_catalog(uid=2, k=5)
         assert response.ok
@@ -118,16 +64,8 @@ class TestNewEndpoints:
         assert len(items) == 5
         scores = [entry["score"] for entry in items]
         assert scores == sorted(scores, reverse=True)
-        # codec roundtrip of the new request type
-        from repro.frontend import decode_request, encode_request
-
-        original = TopKCatalogApiRequest(uid=2, k=5, model="songs")
-        assert decode_request(encode_request(original)) == original
 
     def test_status_endpoint(self, deployed_velox):
-        from repro.frontend import StatusApiRequest, VeloxClient
-        from repro.frontend import decode_request, encode_request
-
         deployed_velox.observe(uid=1, x=2, y=4.0)
         client = VeloxClient(deployed_velox)
         response = client.status()
@@ -135,13 +73,12 @@ class TestNewEndpoints:
         assert response.payload["num_nodes"] == 2
         assert response.payload["models"][0]["name"] == "songs"
         assert "songs" in response.payload["report"]
-        assert decode_request(encode_request(StatusApiRequest())) == StatusApiRequest()
 
     def test_status_over_socket(self, deployed_velox):
         from repro.frontend import StatusApiRequest
 
         with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(server.host, server.port) as client:
                 response = client.call(StatusApiRequest())
                 assert response.ok
                 assert response.payload["alive_nodes"] == 2
@@ -150,7 +87,7 @@ class TestNewEndpoints:
 class TestTcpServer:
     def test_full_request_cycle_over_socket(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(server.host, server.port) as client:
                 response = client.call(PredictApiRequest(uid=2, item=8))
                 assert response.ok
                 response = client.call(
@@ -168,7 +105,7 @@ class TestTcpServer:
 
             def worker(uid):
                 try:
-                    with RemoteClient(server.host, server.port) as client:
+                    with PipelinedClient(server.host, server.port) as client:
                         for item in range(10):
                             response = client.call(PredictApiRequest(uid=uid, item=item))
                             assert response.ok
@@ -187,14 +124,19 @@ class TestTcpServer:
 
         with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=5)
-            reader = sock.makefile("r")
-            sock.sendall(b'{"method": "nonsense"}\n')
-            line = reader.readline()
-            response = decode_response(line)
-            assert not response.ok
+            reader = sock.makefile("rb")
+            sock.sendall(wire.HELLO_V2)
+            assert reader.readline() == wire.HELLO_V2
+            sock.sendall(wire.encode_frame(99, 1, b""))  # no such method
+            _, corr_id, payload = wire.read_frame(reader)
+            response = wire.decode_response_payload(payload)
+            assert corr_id == 1 and not response.ok
             # server still answers valid requests on the same connection
-            sock.sendall((encode_request(PredictApiRequest(uid=1, item=2)) + "\n").encode())
-            assert decode_response(reader.readline()).ok
+            sock.sendall(
+                wire.encode_request_frame(PredictApiRequest(uid=1, item=2), 2)
+            )
+            _, corr_id, payload = wire.read_frame(reader)
+            assert corr_id == 2 and wire.decode_response_payload(payload).ok
             sock.close()
 
     def test_double_start_rejected(self, deployed_velox):

@@ -114,13 +114,13 @@ class TestFullLifecycle:
     def test_end_to_end_through_tcp_frontend(self, deployed_velox):
         from repro.frontend import (
             ObserveApiRequest,
+            PipelinedClient,
             PredictApiRequest,
-            RemoteClient,
             VeloxServer,
         )
 
         with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(server.host, server.port) as client:
                 before = client.call(PredictApiRequest(uid=3, item=9))
                 for __ in range(5):
                     assert client.call(

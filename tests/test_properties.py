@@ -192,8 +192,10 @@ class TestFrontendCodecProperty:
     )
     @settings(max_examples=50, deadline=None)
     def test_observe_roundtrip(self, uid, item, label):
-        from repro.frontend import ObserveApiRequest, decode_request, encode_request
+        from repro.frontend import ObserveApiRequest, wire
 
         original = ObserveApiRequest(uid=uid, item=item, label=label)
-        decoded = decode_request(encode_request(original))
-        assert decoded == original
+        decoder = wire.FrameDecoder()
+        decoder.feed(wire.encode_request_frame(original, 0))
+        opcode, _, payload = decoder.next_frame()
+        assert wire.decode_request_payload(opcode, payload) == original

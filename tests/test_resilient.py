@@ -27,13 +27,9 @@ from repro.frontend import (
     ResilientClient,
     RetryBudget,
     RetryPolicy,
-    TopKApiRequest,
     VeloxServer,
-    decode_request,
-    encode_request,
     wire,
 )
-from repro.frontend.api import decode_response
 from repro.metrics.resilience import ResilienceMetrics
 from repro.serving import ServingConfig
 
@@ -214,40 +210,12 @@ class TestDeadlineCodec:
         request = PredictApiRequest(
             uid=3, item=7, model="songs", deadline=0.25, degraded=True
         )
-        frame = wire.encode_request_frame(request, corr_id=1, wire_version=2)
+        frame = wire.encode_request_frame(request, corr_id=1)
         decoder = wire.FrameDecoder()
         decoder.feed(frame)
         opcode, _, payload = decoder.next_frame()
         decoded = wire.decode_request_payload(opcode, payload)
         assert decoded == request
-
-    def test_v1_frame_omits_and_defaults(self):
-        request = TopKApiRequest(
-            uid=3, items=(1, 2, 3), k=2, deadline=0.25, degraded=True
-        )
-        frame = wire.encode_request_frame(request, corr_id=1, wire_version=1)
-        decoder = wire.FrameDecoder()
-        decoder.feed(frame)
-        opcode, _, payload = decoder.next_frame()
-        decoded = wire.decode_request_payload(opcode, payload)
-        assert decoded.deadline is None and decoded.degraded is False
-        assert decoded.items == request.items and decoded.k == request.k
-
-    def test_v1_frames_are_byte_identical_to_before(self):
-        plain = PredictApiRequest(uid=3, item=7)
-        v1 = wire.encode_request_frame(plain, corr_id=5, wire_version=1)
-        v2 = wire.encode_request_frame(plain, corr_id=5, wire_version=2)
-        assert len(v2) > len(v1)  # v2 always writes the trailing fields
-
-    def test_json_round_trips_deadline_and_degraded(self):
-        request = TopKApiRequest(
-            uid=3, items=(1, 2), k=2, deadline=0.125, degraded=True
-        )
-        assert decode_request(encode_request(request)) == request
-        plain = PredictApiRequest(uid=1, item=2)
-        line = encode_request(plain)
-        assert "deadline" not in line and "degraded" not in line
-        assert decode_request(line) == plain
 
 
 @pytest.fixture
@@ -302,7 +270,6 @@ class TestEngineDeadlines:
     def test_deadline_error_envelope_over_wire(self, deployed_velox, engine):
         with VeloxServer(deployed_velox, engine=engine) as server:
             with PipelinedClient(server.host, server.port) as client:
-                assert client.wire_version == 2
                 response = client.call(
                     PredictApiRequest(uid=3, item=5, deadline=0.0),
                     timeout=5.0,
@@ -343,41 +310,28 @@ class TestDegradedLadderRung:
 
 
 class _SilentServer:
-    """Accepts one protocol hello, then swallows requests.
+    """Accepts one connection, echoes its hello, then swallows requests."""
 
-    ``responses`` (JSON mode) are lines sent on demand via
-    :meth:`send_lines` — the tooling for tombstone/FIFO tests.
-    """
-
-    def __init__(self, binary: bool):
-        self.binary = binary
+    def __init__(self):
         self._listen = socket.create_server(("127.0.0.1", 0))
         self.port = self._listen.getsockname()[1]
         self._conn: socket.socket | None = None
-        self._ready = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self) -> None:
         conn, _ = self._listen.accept()
         self._conn = conn
-        if self.binary:
-            hello = b""
-            while not hello.endswith(b"\n"):
-                hello += conn.recv(1)
-            conn.sendall(hello)  # echo: negotiation succeeds
-        self._ready.set()
+        hello = b""
+        while not hello.endswith(b"\n"):
+            hello += conn.recv(1)
+        conn.sendall(hello)  # echo: negotiation succeeds
         # Drain and ignore whatever arrives.
         try:
             while conn.recv(4096):
                 pass
         except OSError:
             pass
-
-    def send_lines(self, lines: list[bytes]) -> None:
-        self._ready.wait(5.0)
-        for line in lines:
-            self._conn.sendall(line)
 
     def close(self) -> None:
         for sock in (self._conn, self._listen):
@@ -390,7 +344,7 @@ class _SilentServer:
 
 class TestTimedOutSlotRecovery:
     def test_binary_timeout_releases_window_slot(self):
-        server = _SilentServer(binary=True)
+        server = _SilentServer()
         try:
             client = PipelinedClient(
                 "127.0.0.1",
@@ -400,7 +354,6 @@ class TestTimedOutSlotRecovery:
                 block_on_full=False,
             )
             try:
-                assert client.protocol == "binary"
                 with pytest.raises(TransportError, match="no response"):
                     client.call(PredictApiRequest(uid=1, item=2))
                 assert client.timed_out == 1
@@ -412,38 +365,6 @@ class TestTimedOutSlotRecovery:
                     client.call(PredictApiRequest(uid=1, item=3))
                 assert client.timed_out == 2
                 assert client.in_flight == 0
-            finally:
-                client.close()
-        finally:
-            server.close()
-
-    def test_json_timeout_tombstones_but_keeps_fifo_order(self):
-        server = _SilentServer(binary=False)
-        try:
-            client = PipelinedClient(
-                "127.0.0.1",
-                server.port,
-                timeout=0.3,
-                prefer_binary=False,
-                max_inflight=2,
-            )
-            try:
-                assert client.protocol == "json"
-                with pytest.raises(TransportError, match="no response"):
-                    client.call(PredictApiRequest(uid=1, item=2))
-                assert client.timed_out == 1
-                assert client.in_flight == 0
-                second = client.submit(PredictApiRequest(uid=1, item=3))
-                # Two responses arrive: the first matches the abandoned
-                # call (discarded), the second matches the live one.
-                server.send_lines(
-                    [
-                        b'{"ok": false, "error": "stale answer"}\n',
-                        b'{"ok": true, "payload": {"marker": 7}}\n',
-                    ]
-                )
-                response = second.result(timeout=5.0)
-                assert response.ok and response.payload["marker"] == 7
             finally:
                 client.close()
         finally:

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import socket
 import threading
 
 import pytest
 
 from repro.frontend import (
+    PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     TopKApiRequest,
     VeloxServer,
-    decode_response,
-    encode_request,
 )
 from repro.serving import ServingConfig
 
@@ -35,7 +32,7 @@ class TestEngineOverTcp:
 
             def worker(uid: int) -> None:
                 try:
-                    with RemoteClient(server.host, server.port) as client:
+                    with PipelinedClient(server.host, server.port) as client:
                         for item in range(10):
                             response = client.call(
                                 PredictApiRequest(uid=uid, item=item)
@@ -64,7 +61,7 @@ class TestEngineOverTcp:
     def test_top_k_over_engine_socket(self, deployed_velox):
         engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
         with VeloxServer(deployed_velox, engine=engine) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(server.host, server.port) as client:
                 response = client.call(TopKApiRequest(uid=2, items=(1, 2, 3), k=2))
                 assert response.ok
                 assert len(response.payload["items"]) == 2
@@ -76,7 +73,7 @@ class TestEngineOverTcp:
             ServingConfig(max_queue_depth=0)
         )
         with VeloxServer(deployed_velox, engine=engine) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(server.host, server.port) as client:
                 response = client.call(PredictApiRequest(uid=1, item=2))
                 assert not response.ok
                 assert "OverloadedError" in response.error
@@ -91,31 +88,21 @@ class TestServerHardening:
         """A non-ReproError out of dispatch must produce an error
         envelope on the same connection, not kill it silently."""
         with VeloxServer(deployed_velox) as server:
-            client = server._server.velox_client
-            original = client.dispatch
+            dispatcher = server.velox_client
+            original = dispatcher.dispatch
 
             def explode(request):
                 if isinstance(request, PredictApiRequest) and request.uid == 666:
                     raise RuntimeError("handler bug")
                 return original(request)
 
-            client.dispatch = explode
+            dispatcher.dispatch = explode
             try:
-                sock = socket.create_connection(
-                    (server.host, server.port), timeout=5
-                )
-                reader = sock.makefile("r")
-                sock.sendall(
-                    (encode_request(PredictApiRequest(uid=666, item=1)) + "\n").encode()
-                )
-                response = decode_response(reader.readline())
-                assert not response.ok
-                assert "RuntimeError" in response.error
-                # the line protocol keeps serving
-                sock.sendall(
-                    (encode_request(PredictApiRequest(uid=1, item=2)) + "\n").encode()
-                )
-                assert decode_response(reader.readline()).ok
-                sock.close()
+                with PipelinedClient(server.host, server.port) as client:
+                    response = client.call(PredictApiRequest(uid=666, item=1))
+                    assert not response.ok
+                    assert "RuntimeError" in response.error
+                    # the same connection keeps serving
+                    assert client.call(PredictApiRequest(uid=1, item=2)).ok
             finally:
-                client.dispatch = original
+                dispatcher.dispatch = original

@@ -1,12 +1,13 @@
-"""Binary framed wire protocol: codec, negotiation, pipelined client."""
+"""Binary framed wire protocol: codec, golden bytes, negotiation,
+pipelined client."""
 
 from __future__ import annotations
 
 import io
 import json
 import socket
-import socketserver
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,28 +21,25 @@ from repro.frontend import (
     ObserveApiRequest,
     PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     RetrainApiRequest,
     StatusApiRequest,
     TopKApiRequest,
     TopKCatalogApiRequest,
     VeloxServer,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
 )
 from repro.frontend import wire
 from repro.serving import ServingConfig
 
-#: Every request shape both codecs must carry, including ndarray and
+#: Every request shape the codec must carry, including ndarray and
 #: scalar-float item payloads.
 REQUEST_CATALOG = [
     PredictApiRequest(uid=3, item=17, model="songs"),
     PredictApiRequest(uid=0, item="sku-77", model=None),
     PredictApiRequest(uid=1, item=2.5),
     PredictApiRequest(uid=9, item=np.linspace(-1.0, 1.0, 8)),
+    PredictApiRequest(uid=3, item=7, deadline=0.25, degraded=True),
     TopKApiRequest(uid=1, items=(1, 2, 3), k=2, model="songs", policy="linucb"),
+    TopKApiRequest(uid=3, items=(1, 2, 3), k=2, deadline=0.125, degraded=True),
     TopKApiRequest(
         uid=4,
         items=(np.arange(4, dtype=float), np.ones(4)),
@@ -171,15 +169,16 @@ class TestBinaryCodec:
         np.testing.assert_array_equal(decoded.item, strided)
         wire.reset_ndarray_forced_copies()
 
-    def test_binary_predict_frame_smaller_than_json_for_ndarrays(self):
-        request = PredictApiRequest(uid=1, item=np.random.default_rng(0).normal(size=64))
-        binary = wire.encode_request_frame(request, 0)
-        json_line = (encode_request(request) + "\n").encode("utf-8")
-        assert len(binary) < len(json_line)
+    def test_short_predict_payload_is_a_malformed_payload(self):
+        """A predict payload that ends before ``deadline``/``degraded``
+        fails like any other truncated payload."""
+        payload = wire._pack_values(1, 2, None)
+        with pytest.raises(TransportError, match="truncated"):
+            wire.decode_request_payload(wire.OP_PREDICT, payload)
 
     def test_non_string_dict_keys_coerced_like_json(self):
         # Histogram counts and similar metrics dicts carry int keys;
-        # both codecs must deliver them as the same strings.
+        # they arrive as the strings json.dumps would have produced.
         payload = {
             "lag_counts": {0: 3, 17: 1},
             "by_float": {2.5: "x"},
@@ -200,104 +199,112 @@ class TestBinaryCodec:
             )
 
 
-class TestCodecEquivalence:
-    """Every request/response must round-trip identically through the
-    JSON-lines codec and the binary codec."""
+class TestGoldenBytes:
+    """The exact bytes of the frame codec, written from the output of
+    commit 44bac12. ``benchmarks/e2e`` pre-encodes its request plans
+    with these functions, so a change here changes what it measures."""
 
-    @pytest.mark.parametrize("request_obj", REQUEST_CATALOG, ids=repr)
-    def test_request_equivalence(self, request_obj):
-        # JSON flattens ndarrays to float lists and rebuilds float64;
-        # binary preserves them natively — the decoded values must agree.
-        via_json = decode_request(encode_request(request_obj))
-        via_binary = binary_roundtrip_request(request_obj)
-        assert_requests_equal(via_json, via_binary)
+    def test_predict_int_item(self):
+        frame = wire.encode_request_frame(
+            PredictApiRequest(uid=7, item=42, model="songs"), 1
+        )
+        assert frame.hex() == (
+            "0000002801000000000000000102000000000000000702000000000000002a"
+            "0400000005736f6e6773000100"
+        )
 
-    @pytest.mark.parametrize("response", RESPONSE_CATALOG, ids=repr)
-    def test_response_equivalence(self, response):
-        via_json = decode_response(encode_response(response))
-        frame = wire.encode_response_frame(response, 0)
-        _, _, payload = wire.read_frame(io.BytesIO(frame))
-        via_binary = wire.decode_response_payload(payload)
-        assert via_json == via_binary == response
+    def test_predict_ndarray_item(self):
+        item = np.array([1.0, -2.5, 0.25], dtype="<f8")
+        frame = wire.encode_request_frame(PredictApiRequest(uid=7, item=item), 2)
+        assert frame.hex() == (
+            "0000003c01000000000000000202000000000000000705033c663801000000"
+            "0300000018000000000000f03f00000000000004c0000000000000d03f0000"
+            "0100"
+        )
 
+    def test_top_k_with_deadline(self):
+        frame = wire.encode_request_frame(
+            TopKApiRequest(
+                uid=3, items=(1, 2, 3), k=2, model="songs", policy="linucb",
+                deadline=0.05, degraded=True,
+            ),
+            3,
+        )
+        assert frame.hex() == (
+            "00000058020000000000000003020000000000000003020000000000000002"
+            "0400000005736f6e677304000000066c696e75636208000000030000000000"
+            "00000100000000000000020000000000000003033fa999999999999a0101"
+        )
 
-class _JsonOnlyHandler(socketserver.StreamRequestHandler):
-    """The pre-binary server loop, kept verbatim for fallback testing."""
+    def test_observe(self):
+        frame = wire.encode_request_frame(
+            ObserveApiRequest(
+                uid=9, item=4, label=3.5, model="songs", validation=True
+            ),
+            4,
+        )
+        assert frame.hex() == (
+            "00000030030000000000000004020000000000000009020000000000000004"
+            "03400c0000000000000400000005736f6e67730101"
+        )
 
-    def handle(self):
-        for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            try:
-                request = decode_request(line)
-                response = ApiResponse(
-                    ok=True, payload={"echo": request.method}
-                )
-            except ValidationError as err:
-                response = ApiResponse(ok=False, error=str(err))
-            self.wfile.write((encode_response(response) + "\n").encode())
-            self.wfile.flush()
+    def test_ok_predict_response(self):
+        frame = wire.encode_response_frame(
+            ApiResponse(
+                ok=True,
+                payload={
+                    "item": 42, "score": 3.5, "node": 0,
+                    "prediction_cache_hit": False, "stale": False,
+                },
+            ),
+            1,
+        )
+        assert frame.hex() == (
+            "0000006e800000000000000001010104000000000700000005000000046974"
+            "656d02000000000000002a0000000573636f726503400c0000000000000000"
+            "00046e6f64650200000000000000000000001470726564696374696f6e5f63"
+            "616368655f6869740100000000057374616c650100"
+        )
 
-
-@pytest.fixture
-def json_only_server():
-    """A legacy JSON-lines-only TCP server (no binary negotiation)."""
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _JsonOnlyHandler)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server.server_address
-    finally:
-        server.shutdown()
-        server.server_close()
+    def test_error_envelope(self):
+        frame = wire.encode_response_frame(
+            ApiResponse(ok=False, error="OverloadedError: queue full"), 5
+        )
+        assert frame.hex() == (
+            "000000308000000000000000050100040000001b4f7665726c6f6164656445"
+            "72726f723a2071756575652066756c6c0700000000"
+        )
 
 
 class TestNegotiation:
     def test_pipelined_client_negotiates_binary(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
             with PipelinedClient(server.host, server.port) as client:
-                assert client.protocol == "binary"
                 response = client.call(PredictApiRequest(uid=2, item=8))
                 assert response.ok
                 assert isinstance(response.payload["score"], float)
 
-    def test_json_client_still_works_against_new_server(self, deployed_velox):
-        """Old JSON-lines clients round-trip against the binary-capable
-        server: the peek-based negotiation must leave their first
-        request intact."""
-        with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
-                response = client.call(PredictApiRequest(uid=2, item=8))
-                assert response.ok
-                response = client.call(TopKApiRequest(uid=2, items=(1, 2), k=1))
-                assert response.ok
+    def test_client_rejects_a_server_that_answers_something_else(self):
+        """Any answer but the echoed hello is a typed transport failure
+        at construction, not a session in some other protocol."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        host, port = listener.getsockname()
 
-    def test_pipelined_client_falls_back_to_json(self, json_only_server):
-        host, port = json_only_server
-        with PipelinedClient(host, port) as client:
-            assert client.protocol == "json"
-            response = client.call(PredictApiRequest(uid=1, item=2))
-            assert response.ok
-            assert response.payload["echo"] == "predict"
-            # pipelining still works in-order over JSON lines
-            futures = [
-                client.submit(PredictApiRequest(uid=1, item=i))
-                for i in range(10)
-            ]
-            assert all(f.result(5).ok for f in futures)
+        def answer_json():
+            conn, _ = listener.accept()
+            conn.recv(len(wire.HELLO_V2))
+            conn.sendall(b'{"ok": false, "error": "malformed"}\n')
+            conn.close()
 
-    def test_mixed_protocol_clients_share_a_server(self, deployed_velox):
-        with VeloxServer(deployed_velox) as server:
-            with (
-                RemoteClient(server.host, server.port) as old,
-                PipelinedClient(server.host, server.port) as new,
-            ):
-                a = old.call(PredictApiRequest(uid=2, item=8))
-                b = new.call(PredictApiRequest(uid=2, item=8))
-                assert a.ok and b.ok
-                assert a.payload["score"] == pytest.approx(b.payload["score"])
+        thread = threading.Thread(target=answer_json, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(TransportError, match="negotiation failed"):
+                PipelinedClient(host, port, timeout=5)
+        finally:
+            listener.close()
 
 
 class TestPipelinedClient:
@@ -403,7 +410,6 @@ class TestPipelinedClient:
         with VeloxServer(deployed_velox) as server:
             with ConnectionPool(server.host, server.port, size=3) as pool:
                 assert len(pool) == 3
-                assert pool.protocol == "binary"
                 futures = [
                     pool.submit(PredictApiRequest(uid=1, item=i))
                     for i in range(9)
@@ -418,26 +424,17 @@ class TestPipelinedClient:
                 client.submit(PredictApiRequest(uid=1, item=2))
 
 
-class TestTransportErrors:
-    def test_remote_client_times_out_with_typed_error(self):
-        """A server that accepts but never answers: ``call`` raises
-        TransportError within the timeout instead of blocking forever."""
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        host, port = listener.getsockname()
-        try:
-            client = RemoteClient(host, port, timeout=0.3)
-            with pytest.raises(TransportError):
-                client.call(PredictApiRequest(uid=1, item=2))
-            # the failed client closed its socket and refuses reuse
-            with pytest.raises(TransportError):
-                client.call(PredictApiRequest(uid=1, item=2))
-        finally:
-            listener.close()
+def _accept_hello(listener: socket.socket) -> socket.socket:
+    """Accept one connection and complete the hello exchange."""
+    conn, _ = listener.accept()
+    conn.recv(len(wire.HELLO_V2))
+    conn.sendall(wire.HELLO_V2)
+    return conn
 
+
+class TestTransportErrors:
     def test_remote_client_half_written_response_bounded(self):
-        """A server trickling a response without the newline cannot
+        """A server trickling a response frame that never closes cannot
         stall ``call`` past the deadline."""
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -445,11 +442,12 @@ class TestTransportErrors:
         host, port = listener.getsockname()
 
         def trickle():
-            conn, _ = listener.accept()
+            conn = _accept_hello(listener)
             conn.recv(4096)
-            for _ in range(10):
+            frame = wire.encode_response_frame(ApiResponse(ok=True), 0)
+            for byte in frame[:-1]:
                 try:
-                    conn.sendall(b'{"ok"')
+                    conn.sendall(bytes([byte]))
                 except OSError:
                     break
                 threading.Event().wait(0.1)
@@ -458,9 +456,11 @@ class TestTransportErrors:
         thread = threading.Thread(target=trickle, daemon=True)
         thread.start()
         try:
-            client = RemoteClient(host, port, timeout=0.4)
-            with pytest.raises(TransportError):
-                client.call(PredictApiRequest(uid=1, item=2))
+            with PipelinedClient(host, port, timeout=0.4) as client:
+                start = time.monotonic()
+                with pytest.raises(TransportError):
+                    client.call(PredictApiRequest(uid=1, item=2))
+                assert time.monotonic() - start < 1.5
         finally:
             listener.close()
 
@@ -473,9 +473,7 @@ class TestTransportErrors:
         host, port = listener.getsockname()
 
         def accept_then_drop():
-            conn, _ = listener.accept()
-            conn.recv(len(wire.HELLO))
-            conn.sendall(wire.HELLO)  # accept binary...
+            conn = _accept_hello(listener)  # accept the hello...
             conn.recv(65536)  # ...take one frame...
             conn.close()  # ...and vanish
 
@@ -483,7 +481,6 @@ class TestTransportErrors:
         thread.start()
         try:
             client = PipelinedClient(host, port)
-            assert client.protocol == "binary"
             future = client.submit(PredictApiRequest(uid=1, item=2))
             with pytest.raises(TransportError):
                 future.result(timeout=5)
