@@ -48,7 +48,7 @@ MODES = {
     "fixed_delay": dict(batching="fixed_delay", batch_delay=0.002),
     # Clipper-style: serve whatever is queued the moment a worker frees
     # (no linger); AIMD only caps the batch.
-    "adaptive": dict(batching="adaptive", batch_delay=0.0),
+    "adaptive": dict(batching="adaptive"),
 }
 
 

@@ -26,9 +26,13 @@ Design:
   residence. Completion callbacks run on engine worker threads; they
   only enqueue a closure and wake the loop — all connection state is
   mutated by the loop thread alone, so no per-connection locks exist.
+* **One wake and one send per turn.** A completion wakes the loop
+  through the self-pipe only when the loop may be asleep in ``select``
+  with no wake byte on its way; responses queued during a turn leave in
+  one ``send`` per connection at the end of it.
 * **Write-side backpressure.** Responses queue in a per-connection
-  outbound buffer flushed opportunistically and on writability. A
-  buffer above ``high_water`` stops the socket's reads (the client's
+  outbound buffer flushed at the end of each turn and on writability.
+  A buffer above ``high_water`` stops the socket's reads (the client's
   own sends eventually block — TCP propagates the pressure); reads
   resume below ``low_water``. Counters for paused sockets, buffered
   bytes, and dispatch depth are exported through the status endpoint.
@@ -184,6 +188,12 @@ class EventLoopServer:
         self._conns: set[_Connection] = set()
         #: Closures handed from completion callbacks to the loop thread.
         self._completions: deque = deque()
+        #: True while a scheduled closure needs no wake byte: the loop is
+        #: between ``select`` returning and its completion drain, or a
+        #: byte that will end its ``select`` is already on its way.
+        self._awake = False
+        #: Connections with bytes queued this turn, flushed at its end.
+        self._dirty: set[_Connection] = set()
         #: Live chaos-delay timers (cancelled on teardown).
         self._timers: set[threading.Timer] = set()
         self._thread: threading.Thread | None = None
@@ -251,9 +261,17 @@ class EventLoopServer:
             pass  # a wake byte is already pending, or we are torn down
 
     def _schedule(self, fn, *args) -> None:
-        """Run ``fn(*args)`` on the loop thread (any-thread safe)."""
+        """Run ``fn(*args)`` on the loop thread (any-thread safe).
+
+        Append first, then read the flag: the loop clears it *before*
+        draining, so a closure that saw it set was appended before that
+        drain began and cannot be missed. Two threads seeing it clear at
+        once cost a spare byte, never a lost wake.
+        """
         self._completions.append((fn, args))
-        self._wake()
+        if not self._awake:
+            self._awake = True
+            self._wake()
 
     def _later(self, delay: float, fn, *args) -> None:
         """Run ``fn(*args)`` on the loop thread after ``delay`` seconds.
@@ -280,6 +298,7 @@ class EventLoopServer:
         try:
             while not self._stop_requested:
                 events = self._selector.select(timeout=1.0)
+                self._awake = True
                 for key, mask in events:
                     data = key.data
                     if data is _ACCEPT:
@@ -294,7 +313,11 @@ class EventLoopServer:
                             self._flush(conn)
                         if mask & selectors.EVENT_READ and not conn.closed:
                             self._on_readable(conn)
+                self._awake = False
                 self._drain_completions()
+                for conn in self._dirty:
+                    self._flush(conn)
+                self._dirty.clear()
         finally:
             self._teardown()
 
@@ -334,6 +357,7 @@ class EventLoopServer:
                 pass
         self._selector.close()
         self._completions.clear()
+        self._dirty.clear()
 
     # -- accept / read --------------------------------------------------------
 
@@ -510,7 +534,7 @@ class EventLoopServer:
             if stall > 0.0:
                 conn.stalled = True
                 self._later(stall, self._unstall, conn)
-        self._flush(conn)
+        self._dirty.add(conn)
 
     def _unstall(self, conn: _Connection) -> None:
         """End an injected write stall and drain what accumulated."""

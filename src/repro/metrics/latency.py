@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +36,15 @@ class LatencyRecorder:
 
     Thread-safe: concurrent serving workers may share one recorder (or
     keep one each and :meth:`merge` them), so every read and write of the
-    sample list happens under a lock — ``summary`` never sees a torn
-    append.
+    samples happens under a lock — ``summary`` never sees a torn
+    append. Samples live in an ``array('d')``, 8 bytes each: the serving
+    engine records a few per request for as long as it runs.
     """
 
     def __init__(self, name: str = "latency"):
         self.name = name
         self._lock = threading.Lock()
-        self._samples: list[float] = []
+        self._samples = array("d")
 
     def record(self, seconds: float) -> None:
         """Append one duration in seconds."""
@@ -64,7 +66,7 @@ class LatencyRecorder:
     def reset(self) -> None:
         """Discard every recorded sample."""
         with self._lock:
-            self._samples.clear()
+            del self._samples[:]
 
     def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
         """Fold another recorder's samples into this one; returns self.
@@ -84,10 +86,9 @@ class LatencyRecorder:
     def summary(self) -> LatencySummary:
         """Mean ± 95% CI plus percentiles over all samples."""
         with self._lock:
-            samples = list(self._samples)
-        if not samples:
+            arr = np.array(self._samples, dtype=float)
+        if not arr.size:
             raise ValidationError(f"recorder {self.name!r} has no samples")
-        arr = np.asarray(samples, dtype=float)
         mean, ci95 = mean_confidence_interval(arr)
         return LatencySummary(
             count=int(arr.size),

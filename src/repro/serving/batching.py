@@ -24,7 +24,7 @@ from repro.serving.queue import QueuedRequest, RequestQueue
 
 
 class BatchingPolicy(ABC):
-    """Decides how large a batch to form and how long to wait for it."""
+    """Decides how large a batch to form and whether to wait for it."""
 
     name: str = "policy"
 
@@ -32,10 +32,11 @@ class BatchingPolicy(ABC):
     def batch_limit(self) -> int:
         """Current maximum batch size."""
 
-    @abstractmethod
     def batch_delay(self) -> float:
         """How long (seconds) a non-empty queue may linger for more
-        requests before a partial batch is formed."""
+        requests before a partial batch is formed. Zero — a free worker
+        takes what is queued now — unless a policy overrides it."""
+        return 0.0
 
     def observe(self, batch_size: int, latency: float) -> None:
         """Feedback after a batch completes: its size and the worst
@@ -50,12 +51,13 @@ class NoBatchingPolicy(BatchingPolicy):
     def batch_limit(self) -> int:
         return 1
 
-    def batch_delay(self) -> float:
-        return 0.0
-
 
 class FixedDelayPolicy(BatchingPolicy):
-    """Linger a fixed window, then take whatever arrived (up to a cap)."""
+    """Linger a fixed window, then take whatever arrived (up to a cap).
+
+    The ablation baseline, and the only policy that is not
+    work-conserving: it holds a request back while workers sit idle.
+    """
 
     name = "fixed_delay"
 
@@ -82,7 +84,9 @@ class AdaptiveAimdPolicy(BatchingPolicy):
     Starts at batch size 1; every batch that meets the SLO grows the
     limit additively, every violation shrinks it multiplicatively. The
     limit therefore oscillates just under the largest batch the hardware
-    can serve within the SLO — Clipper's adaptive batching.
+    can serve within the SLO — Clipper's adaptive batching. It never
+    lingers: batches grow only because requests queued while every
+    worker was busy.
     """
 
     name = "adaptive"
@@ -91,7 +95,6 @@ class AdaptiveAimdPolicy(BatchingPolicy):
         self,
         slo_p99: float,
         max_batch_size: int,
-        delay: float,
         additive_step: int = 1,
         backoff: float = 0.5,
     ):
@@ -101,8 +104,6 @@ class AdaptiveAimdPolicy(BatchingPolicy):
             raise ConfigError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if delay < 0:
-            raise ConfigError(f"delay must be >= 0, got {delay}")
         if additive_step < 1:
             raise ConfigError(
                 f"additive_step must be >= 1, got {additive_step}"
@@ -111,7 +112,6 @@ class AdaptiveAimdPolicy(BatchingPolicy):
             raise ConfigError(f"backoff must be in (0, 1), got {backoff}")
         self.slo_p99 = slo_p99
         self.max_batch_size = max_batch_size
-        self.delay = delay
         self.additive_step = additive_step
         self.backoff = backoff
         self._lock = threading.Lock()
@@ -120,9 +120,6 @@ class AdaptiveAimdPolicy(BatchingPolicy):
     def batch_limit(self) -> int:
         with self._lock:
             return self._limit
-
-    def batch_delay(self) -> float:
-        return self.delay
 
     def observe(self, batch_size: int, latency: float) -> None:
         """AIMD step: grow on SLO hit, back off on SLO miss."""
@@ -147,7 +144,6 @@ def make_batching_policy(config: ServingConfig) -> BatchingPolicy:
     return AdaptiveAimdPolicy(
         slo_p99=config.slo_p99,
         max_batch_size=config.max_batch_size,
-        delay=config.batch_delay,
         additive_step=config.aimd_additive_step,
         backoff=config.aimd_backoff,
     )
@@ -157,27 +153,18 @@ class BatchFormer:
     """Deterministic batch formation over one queue.
 
     ``form(queue, now)`` returns the next batch, or an empty list when
-    the queue should keep lingering (non-empty but younger than the
-    policy's delay and smaller than its limit). Given the same queue
-    contents, policy state, and clock readings, the same batches form —
-    no dependence on thread timing.
+    the queue is empty or still lingering (only under a policy with a
+    non-zero delay: younger than the delay and smaller than the limit).
+    Given the same queue contents, policy state, and clock readings, the
+    same batches form — no dependence on thread timing.
     """
 
     def __init__(self, policy: BatchingPolicy):
         self.policy = policy
 
     def form(self, queue: RequestQueue, now: float) -> list[QueuedRequest]:
-        limit = self.policy.batch_limit()
-        depth = len(queue)
-        if depth == 0:
-            return []
-        if depth >= limit:
-            return queue.pop_up_to(limit)
-        oldest = queue.oldest_age(now)
-        if oldest is None:  # raced with another consumer; nothing to do
-            return []
-        if oldest >= self.policy.batch_delay():
-            return queue.pop_up_to(limit)
+        if self.ready_in(queue, now) == 0.0:
+            return queue.pop_up_to(self.policy.batch_limit())
         return []
 
     def ready_in(self, queue: RequestQueue, now: float) -> float | None:
@@ -186,6 +173,7 @@ class BatchFormer:
         oldest = queue.oldest_age(now)
         if oldest is None:
             return None
-        if len(queue) >= self.policy.batch_limit():
+        delay = self.policy.batch_delay()
+        if oldest >= delay or len(queue) >= self.policy.batch_limit():
             return 0.0
-        return max(0.0, self.policy.batch_delay() - oldest)
+        return delay - oldest

@@ -22,12 +22,16 @@ class ServingConfig:
         max_queue_age: Age bound (seconds): a request that waited longer
             than this is shed at dequeue time instead of served late.
         batching: One of :data:`BATCHING_POLICIES` — ``"none"`` serves
-            requests one at a time, ``"fixed_delay"`` lingers a fixed
-            window then takes what arrived, ``"adaptive"`` sizes batches
-            with AIMD against :attr:`slo_p99`.
+            requests one at a time, ``"adaptive"`` sizes batches with
+            AIMD against :attr:`slo_p99`; both are work-conserving (a
+            free worker takes what is queued now, so batches grow only
+            while workers are busy). ``"fixed_delay"``, the ablation
+            baseline, lingers :attr:`batch_delay` then takes what
+            arrived.
         max_batch_size: Upper bound on coalesced batch size.
-        batch_delay: How long (seconds) a non-empty queue may linger
-            waiting for more requests before a partial batch is formed.
+        batch_delay: ``"fixed_delay"`` only: how long (seconds) a
+            non-empty queue may linger waiting for more requests before
+            a partial batch is formed. The other policies ignore it.
         slo_p99: Per-model p99 end-to-end latency objective (seconds);
             drives AIMD resizing and SLO-attainment accounting.
         aimd_additive_step: Batch-size increase after an SLO-met batch.

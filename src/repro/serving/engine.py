@@ -31,7 +31,8 @@ from repro.serving.queue import QueuedRequest, RequestQueue
 
 #: Upper bound on how long an idle worker sleeps between queue scans.
 _IDLE_WAIT = 0.05
-#: Floor for lingering waits so near-ready queues don't busy-spin.
+#: Floor for ``fixed_delay`` lingering waits so near-ready queues don't
+#: busy-spin.
 _MIN_WAIT = 1e-4
 
 
@@ -71,8 +72,6 @@ class ServingEngine:
         self._queues: dict[tuple[str, int], RequestQueue] = {}
         self._formers: dict[tuple[str, int], BatchFormer] = {}
         self._metrics: dict[tuple[str, int], QueueMetrics] = {}
-        self._queue_keys: list[tuple[str, int]] = []
-        self._scan_offset = 0
         self._workers: list[threading.Thread] = []
         self._running = False
         #: Engine-side resilience counters (deadline sheds, degraded
@@ -277,7 +276,6 @@ class ServingEngine:
                     make_batching_policy(self.config)
                 )
                 self._metrics[key] = QueueMetrics(name)
-                self._queue_keys.append(key)
             return queue, self._metrics[key]
 
     # -- worker pool ---------------------------------------------------------
@@ -294,22 +292,20 @@ class ServingEngine:
             self._execute(*job)
 
     def _next_batch(self):
-        """Scan queues round-robin for the next servable batch.
+        """Form a batch from the formable queue whose head is oldest.
 
         Returns ``((key, batch), _)`` when a batch formed, else
-        ``(None, seconds_until_something_may_be_ready)``. Expired
-        requests are shed here, before batch formation, so a burst that
-        outran the workers fails fast instead of serving stale. Callers
-        hold ``self._cond``.
+        ``(None, seconds_until_something_may_be_ready)``. Oldest head
+        first is FIFO across the per-node queues: a queue that refills
+        as fast as it drains cannot hold another queue's head back past
+        the requests that arrived before it. Expired requests are shed
+        here, before selection, so a burst that outran the workers fails
+        fast instead of serving stale. Callers hold ``self._cond``.
         """
         now = self.clock.now()
         wait_hint = _IDLE_WAIT
-        num_queues = len(self._queue_keys)
-        for offset in range(num_queues):
-            index = (self._scan_offset + offset) % num_queues
-            key = self._queue_keys[index]
-            queue = self._queues[key]
-            former = self._formers[key]
+        oldest_key, oldest_age = None, -1.0
+        for key, queue in self._queues.items():
             metrics = self._metrics[key]
             for expired in queue.pop_expired(now, self.config.max_queue_age):
                 metrics.on_shed(at_admission=False)
@@ -330,14 +326,17 @@ class ServingEngine:
                         f"{queue.name}",
                     )
                 )
-            batch = former.form(queue, now)
-            if batch:
-                self._scan_offset = (index + 1) % num_queues
-                return (key, batch), 0.0
-            ready_in = former.ready_in(queue, now)
-            if ready_in is not None:
+            ready_in = self._formers[key].ready_in(queue, now)
+            if ready_in is None:
+                continue
+            if ready_in > 0.0:  # only a fixed_delay queue lingers
                 wait_hint = min(wait_hint, max(_MIN_WAIT, ready_in))
-        return None, wait_hint
+            elif (age := queue.oldest_age(now)) > oldest_age:
+                oldest_key, oldest_age = key, age
+        if oldest_key is None:
+            return None, wait_hint
+        batch = self._formers[oldest_key].form(self._queues[oldest_key], now)
+        return (oldest_key, batch), 0.0
 
     def _execute(self, key: tuple[str, int], batch: list[QueuedRequest]) -> None:
         model_name = key[0]

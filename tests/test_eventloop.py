@@ -7,8 +7,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import queue
 import socket
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -24,7 +26,10 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.frontend import (
+    ApiResponse,
     EventLoopServer,
+    HealthApiRequest,
+    ObserveApiRequest,
     PipelinedClient,
     PredictApiRequest,
     StatusApiRequest,
@@ -284,6 +289,127 @@ class TestBackpressure:
         finally:
             sock.close()
             server.stop()
+
+
+class _CountingSocket:
+    """Stands in for a socket and counts its ``send`` calls."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.sends = 0
+
+    def send(self, data) -> int:
+        self.sends += 1
+        return self._sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _held_dispatch(server) -> queue.Queue:
+    """Make every request's future the test's to complete: they arrive
+    on the returned queue as the loop dispatches them."""
+    held: queue.Queue = queue.Queue()
+
+    def dispatch_async(request, enqueue_time=None):
+        future: Future = Future()
+        held.put(future)
+        return future
+
+    server.velox_client.dispatch_async = dispatch_async
+    return held
+
+
+class TestReactorTurn:
+    """One wake byte and one ``send`` per connection per turn, and no
+    wake ever lost to the elision."""
+
+    def test_completions_mid_turn_cost_one_wake_and_one_send(
+        self, deployed_velox
+    ):
+        total = 32
+        server = VeloxServer(deployed_velox)
+        held = _held_dispatch(server)
+        server.start()
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        try:
+            sock.sendall(wire.HELLO_V2)
+            _read_hello(sock)
+            sock.sendall(
+                b"".join(
+                    wire.encode_request_frame(PredictApiRequest(uid=1, item=i), i)
+                    for i in range(total)
+                )
+            )
+            futures = [held.get(timeout=5) for _ in range(total)]
+            # Park the loop inside a turn, then count what the
+            # completions cost once it moves again.
+            parked, release = threading.Event(), threading.Event()
+            server._schedule(lambda: (parked.set(), release.wait(5)))
+            assert parked.wait(5)
+            (conn,) = server._conns
+            conn.sock = counted = _CountingSocket(conn.sock)
+            server._wake_w = wake = _CountingSocket(server._wake_w)
+            worker = threading.Thread(
+                target=lambda: [
+                    f.set_result(ApiResponse(ok=True, payload={"n": n}))
+                    for n, f in enumerate(futures)
+                ]
+            )
+            worker.start()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            release.set()
+            rfile = sock.makefile("rb")
+            answered = {wire.read_frame(rfile)[1] for _ in range(total)}
+            assert answered == set(range(total))
+            assert wake.sends == 1
+            assert counted.sends == 1
+            assert server.counters.snapshot()["frames_out"] == total
+        finally:
+            sock.close()
+            server.stop()
+
+    def test_completion_racing_the_loop_to_sleep_is_never_lost(
+        self, deployed_velox
+    ):
+        """Each future completes from this thread just as the loop
+        finishes the turn that dispatched it; a wake elided wrongly
+        would leave the response waiting out ``select``'s 1 s timeout."""
+        server = VeloxServer(deployed_velox)
+        held = _held_dispatch(server)
+        server.start()
+        sock = socket.create_connection((server.host, server.port), timeout=0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sock.sendall(wire.HELLO_V2)
+            _read_hello(sock)
+            rfile = sock.makefile("rb")
+            frame = wire.encode_request_frame(PredictApiRequest(uid=1, item=2), 7)
+            for _ in range(10_000):
+                sock.sendall(frame)
+                held.get(timeout=0.5).set_result(ApiResponse(ok=True))
+                assert wire.read_frame(rfile)[1] == 7
+            assert server.counters.snapshot()["frames_out"] == 10_000
+        finally:
+            sys.setswitchinterval(interval)
+            sock.close()
+            server.stop()
+
+    def test_inline_requests_schedule_no_self_wake(self, deployed_velox):
+        server = VeloxServer(deployed_velox)
+        server._wake_w = wake = _CountingSocket(server._wake_w)
+        with server:
+            with PipelinedClient(server.host, server.port) as client:
+                for request in (
+                    ObserveApiRequest(uid=1, item=2, label=4.0),
+                    StatusApiRequest(),
+                    HealthApiRequest(),
+                ):
+                    response = client.call(request)
+                    assert response.ok, response.error
+            assert wake.sends == 0  # answered within the turn that read them
 
 
 class TestTeardown:

@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import Velox, VeloxConfig
 from repro.common.clock import SimulatedClock
-from repro.common.errors import ConfigError, OverloadedError, ValidationError
+from repro.common.errors import (
+    ConfigError,
+    DeadlineExceededError,
+    OverloadedError,
+    ValidationError,
+)
 from repro.serving import (
     AdaptiveAimdPolicy,
     BatchFormer,
@@ -18,6 +24,7 @@ from repro.serving import (
     ServingEngine,
     make_batching_policy,
 )
+from tests.conftest import make_initial_weights, make_mf_model
 
 
 def queued(uid: int, item: int, t: float, model: str = "songs") -> QueuedRequest:
@@ -142,7 +149,7 @@ class TestBatchFormation:
 class TestAimdPolicy:
     def test_grows_additively_on_slo_hit(self):
         policy = AdaptiveAimdPolicy(
-            slo_p99=0.1, max_batch_size=8, delay=0.0, additive_step=2
+            slo_p99=0.1, max_batch_size=8, additive_step=2
         )
         assert policy.batch_limit() == 1
         policy.observe(1, 0.01)
@@ -153,7 +160,7 @@ class TestAimdPolicy:
 
     def test_backs_off_multiplicatively_on_slo_miss(self):
         policy = AdaptiveAimdPolicy(
-            slo_p99=0.1, max_batch_size=64, delay=0.0, backoff=0.5
+            slo_p99=0.1, max_batch_size=64, backoff=0.5
         )
         for _ in range(15):
             policy.observe(1, 0.01)
@@ -164,7 +171,7 @@ class TestAimdPolicy:
         assert policy.batch_limit() == 4
 
     def test_never_shrinks_below_one(self):
-        policy = AdaptiveAimdPolicy(slo_p99=0.1, max_batch_size=8, delay=0.0)
+        policy = AdaptiveAimdPolicy(slo_p99=0.1, max_batch_size=8)
         for _ in range(5):
             policy.observe(1, 1.0)
         assert policy.batch_limit() == 1
@@ -278,7 +285,7 @@ class TestServingEngine:
     def test_age_bound_sheds_stale_requests(self, deployed_velox):
         clock = SimulatedClock()
         engine = deployed_velox.serving_engine(
-            ServingConfig(max_queue_age=0.1, batch_delay=0.0), clock=clock
+            ServingConfig(max_queue_age=0.1), clock=clock
         )
         stale = engine.submit_predict(1, 2)
         clock.advance(0.2)  # past the age bound before any worker runs
@@ -338,3 +345,124 @@ class TestServingEngine:
             assert good.result(timeout=10).item == 5
             with pytest.raises(ValidationError):
                 bad.result(timeout=10)
+
+
+@pytest.fixture
+def four_node_velox(trained_als):
+    model = make_mf_model(trained_als)
+    velox = Velox.deploy(VeloxConfig(num_nodes=4), auto_retrain=False)
+    velox.add_model(
+        model, initial_user_weights=make_initial_weights(model, trained_als)
+    )
+    return velox
+
+
+def uid_on_node(velox, node: int) -> int:
+    route = velox.cluster.router.route_index
+    return next(uid for uid in range(60) if route(uid) == node)
+
+
+def next_batch(engine):
+    with engine._cond:
+        job, wait_hint = engine._next_batch()
+    return job, wait_hint
+
+
+class TestWorkConservingDispatch:
+    """Under the default policy a free worker takes what is queued now,
+    and across queues the oldest head goes first."""
+
+    def test_default_policy_never_lingers(self):
+        policy = make_batching_policy(ServingConfig())
+        for _ in range(10):
+            policy.observe(1, 0.0)  # AIMD limit well above the depths below
+        former = BatchFormer(policy)
+        queue = RequestQueue("q", max_depth=10)
+        assert former.form(queue, now=0.0) == []  # empty: nothing to form
+        for depth in range(1, 4):
+            for uid in range(depth):
+                queue.offer(queued(uid, uid, t=0.0))
+            # Under the limit and zero seconds old: formable all the same.
+            assert former.ready_in(queue, now=0.0) == 0.0
+            assert len(former.form(queue, now=0.0)) == depth
+
+    def test_lone_request_waits_zero_clock_seconds(self, deployed_velox):
+        clock = SimulatedClock()
+        engine = deployed_velox.serving_engine(ServingConfig(), clock=clock)
+        for item in (2, 3):  # the first batch grows the AIMD limit past 1
+            future = engine.submit_predict(1, item)
+            job, _ = next_batch(engine)
+            assert job is not None
+            engine._execute(*job)
+            assert future.result(timeout=0).item == item
+            clock.advance(1.0)
+        name = f"songs@node{deployed_velox.cluster.router.route_index(1)}"
+        assert engine.queue_metrics()[name].wait.samples == [0.0, 0.0]
+
+    def test_oldest_head_first_across_queues(self, four_node_velox):
+        clock = SimulatedClock()
+        engine = four_node_velox.serving_engine(
+            ServingConfig(max_queue_age=10.0), clock=clock
+        )
+        on0, on2 = (uid_on_node(four_node_velox, n) for n in (0, 2))
+        clock.advance(1.0)
+        # Node 0's queue is created (and scanned) first, but node 2's
+        # head is a second older.
+        engine.submit_predict(on0, 1, enqueue_time=1.0)
+        engine.submit_predict(on2, 2, enqueue_time=0.0)
+        keys = [next_batch(engine)[0][0] for _ in range(2)]
+        assert keys == [("songs", 2), ("songs", 0)]
+        assert next_batch(engine) == (None, pytest.approx(0.05))
+
+    def test_refilled_queue_cannot_starve_another(self, four_node_velox):
+        """Node 0 gets a new request every tick; node 2's lone request,
+        stamped t=3, is served after exactly the three that arrived
+        before it, however long the refilling goes on."""
+        clock = SimulatedClock()
+        engine = four_node_velox.serving_engine(
+            ServingConfig(max_queue_age=100.0), clock=clock
+        )
+        on0, on2 = (uid_on_node(four_node_velox, n) for n in (0, 2))
+        served = []
+        for tick in range(8):
+            engine.submit_predict(on0, tick, enqueue_time=float(tick))
+            if tick == 3:
+                engine.submit_predict(on2, 99, enqueue_time=3.0)
+            if tick >= 2:  # the worker falls two requests behind
+                (_, node), batch = next_batch(engine)[0]
+                served.append((node, batch[0].item))
+            clock.advance(1.0)
+        assert served == [(0, 0), (0, 1), (0, 2), (0, 3), (2, 99), (0, 4)]
+
+    def test_fixed_delay_queue_lingers_behind_the_hint(self, deployed_velox):
+        clock = SimulatedClock()
+        engine = deployed_velox.serving_engine(
+            ServingConfig(batching="fixed_delay", batch_delay=0.01), clock=clock
+        )
+        engine.submit_predict(1, 2)
+        clock.advance(0.004)
+        assert next_batch(engine) == (None, pytest.approx(0.006))
+        clock.advance(0.006)
+        job, _ = next_batch(engine)
+        assert [r.item for r in job[1]] == [2]
+
+    def test_sheds_happen_before_selection(self, four_node_velox):
+        """The oldest head is expired, the next oldest has spent its
+        deadline: both are shed and the batch comes from what is left."""
+        clock = SimulatedClock()
+        engine = four_node_velox.serving_engine(
+            ServingConfig(max_queue_age=0.5), clock=clock
+        )
+        on0, on1, on2 = (uid_on_node(four_node_velox, n) for n in (0, 1, 2))
+        aged = engine.submit_predict(on0, 1, enqueue_time=0.0)
+        dead = engine.submit_predict(on1, 2, enqueue_time=0.2, deadline=0.3)
+        live = engine.submit_predict(on2, 3, enqueue_time=0.4)
+        clock.advance(0.6)
+        (key, batch), _ = next_batch(engine)
+        assert key == ("songs", 2) and [r.item for r in batch] == [3]
+        with pytest.raises(OverloadedError):
+            aged.result(timeout=0)
+        with pytest.raises(DeadlineExceededError):
+            dead.result(timeout=0)
+        assert not live.done()
+        assert engine.resilience.snapshot()["deadline_sheds"] == {"queue": 1}
