@@ -8,7 +8,7 @@ the serving engine, and the batch tier; see
 :data:`~repro.chaos.schedule.KNOWN_POINTS` for the catalogue.
 """
 
-from repro.chaos.batch import ScheduledFailureInjector, scheduled_worker_kills
+from repro.chaos.batch import scheduled_worker_kills
 from repro.chaos.injector import (
     ChaosInjector,
     active,
@@ -33,7 +33,6 @@ __all__ = [
     "FaultEvent",
     "FaultRule",
     "FaultSchedule",
-    "ScheduledFailureInjector",
     "active",
     "fire",
     "garble",

@@ -1,11 +1,16 @@
 """Batch-tier worker-kill injection driven by a seeded fault schedule.
 
 The batch scheduler's :class:`~repro.batch.scheduler.FailureInjector`
-predates the chaos layer and enumerates faults explicitly (exact
-partitions to kill). :class:`ScheduledFailureInjector` keeps that class'
-entire API — the scheduler and its tests do not change — but sources
-worker kills from a :class:`~repro.chaos.schedule.FaultSchedule` rule on
-the ``"batch.worker_kill"`` point, keyed by partition index.
+enumerates faults explicitly (exact partitions to kill).
+:func:`scheduled_worker_kills` resolves a
+:class:`~repro.chaos.schedule.FaultSchedule`'s rules on the
+``"batch.worker_kill"`` point, keyed by partition index, into that kill
+set::
+
+    injector = FailureInjector(
+        worker_kills=scheduled_worker_kills(schedule, partitions=8)
+    )
+    ctx = BatchContext(..., injector=injector)
 
 Keyed draws matter here: fork workers consult the injector in a child
 process, after ``os.fork``, so nothing mutable can be shared back. A
@@ -17,9 +22,6 @@ kill the child actually performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.batch.scheduler import FailureInjector
 from repro.chaos.schedule import FaultSchedule
 
 WORKER_KILL_POINT = "batch.worker_kill"
@@ -46,33 +48,3 @@ def scheduled_worker_kills(schedule: FaultSchedule, partitions: int) -> set:
                 kills.add(partition)
                 fired += 1
     return kills
-
-
-@dataclass
-class ScheduledFailureInjector(FailureInjector):
-    """A :class:`FailureInjector` whose worker kills come from a schedule.
-
-    Construct with ``from_schedule`` so the kill set is materialized from
-    the schedule's deterministic draws::
-
-        injector = ScheduledFailureInjector.from_schedule(
-            schedule, partitions=8
-        )
-        ctx = BatchContext(..., injector=injector)
-
-    Everything else (map/result failures, lost outputs, the consuming
-    driver-side APIs) behaves exactly like the base class; the schedule
-    is kept only for provenance.
-    """
-
-    schedule: FaultSchedule | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_schedule(
-        cls, schedule: FaultSchedule, partitions: int
-    ) -> "ScheduledFailureInjector":
-        """Build an injector whose kill set the schedule determines."""
-        return cls(
-            worker_kills=scheduled_worker_kills(schedule, partitions),
-            schedule=schedule,
-        )

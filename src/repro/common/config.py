@@ -10,7 +10,7 @@ is the convenience bundle used by :func:`repro.deploy` and the examples.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from repro.common.errors import ConfigError
@@ -54,25 +54,16 @@ class VeloxConfig:
             replay only; N > 1 adds N-1 journal-shipped followers with
             heartbeat failure detection and automatic promotion, so
             serving survives node loss with bounded-stale reads).
-            Must not exceed ``num_nodes``. Replication tuning knobs
-            (heartbeat interval/timeout, max lag records, virtual
-            nodes) ride in ``extra`` as ``replication_*`` keys.
-        user_weight_store: Physical layout of the per-model user-weight
-            tables: ``"slab"`` (contiguous columnar numpy partitions —
-            row reads/writes, fancy-index batch gathers, O(bytes)
-            snapshot transfer) or ``"dict"`` (one boxed state object
-            per user key, the historical layout). Both are observably
-            equivalent; slab is the default because per-request cost
-            stays flat as user count grows.
+            Must not exceed ``num_nodes``. Heartbeat cadence, lag bound
+            and ring size are ``ReplicationManager`` constructor
+            defaults; attach a custom manager to change them.
         analytics: Whether to stand up the MV-first analytics tier
             (:class:`~repro.analytics.AnalyticsEngine`): per-user,
             per-item, and per-time-window rollups maintained inline
             from every observation append, plus the cost-based query
             planner behind ``Velox.analytics_query``. Maintenance costs
             three dict upserts per observe; disable for write-path
-            microbenchmarks that want the log bare. The tumbling-window
-            width (timestamp units) rides in ``extra`` as
-            ``"analytics_window"`` (default 100).
+            microbenchmarks that want the log bare.
     """
 
     num_nodes: int = 4
@@ -90,9 +81,7 @@ class VeloxConfig:
     remote_bandwidth: float = 1e9
     batch_executor: str = "thread"
     replication_factor: int = 1
-    user_weight_store: str = "slab"
     analytics: bool = True
-    extra: dict = field(default_factory=dict)
 
     _VALID_UPDATE_METHODS = (
         "normal_equations",
@@ -103,7 +92,6 @@ class VeloxConfig:
     # Mirrors repro.batch.scheduler.EXECUTORS (kept literal here so the
     # config layer stays import-free of the batch subsystem).
     _VALID_BATCH_EXECUTORS = ("thread", "fork")
-    _VALID_USER_WEIGHT_STORES = ("slab", "dict")
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -159,12 +147,6 @@ class VeloxConfig:
             raise ConfigError(
                 f"replication_factor must be >= 1, got {self.replication_factor}"
             )
-        if self.user_weight_store not in self._VALID_USER_WEIGHT_STORES:
-            raise ConfigError(
-                f"user_weight_store must be one of "
-                f"{self._VALID_USER_WEIGHT_STORES}, "
-                f"got {self.user_weight_store!r}"
-            )
         if self.replication_factor > self.num_nodes:
             raise ConfigError(
                 f"replication_factor {self.replication_factor} exceeds "
@@ -180,14 +162,10 @@ class VeloxConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "VeloxConfig":
-        """Parse a config from JSON, rejecting unknown keys loudly
-        (silent typos in deployment configs are how staleness thresholds
-        quietly never fire)."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"malformed config JSON: {err}") from err
+    def from_dict(cls, data: object) -> "VeloxConfig":
+        """Build a config from a parsed JSON object, rejecting unknown
+        keys loudly (silent typos in deployment configs are how staleness
+        thresholds quietly never fire; a retired option is named too)."""
         if not isinstance(data, dict):
             raise ConfigError(
                 f"config JSON must be an object, got {type(data).__name__}"
@@ -197,6 +175,15 @@ class VeloxConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**data)
+
+    @classmethod
+    def from_json(cls, text: str) -> "VeloxConfig":
+        """Parse a config from JSON (see :meth:`from_dict`)."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"malformed config JSON: {err}") from err
+        return cls.from_dict(data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VeloxConfig":

@@ -72,6 +72,7 @@ def load_deployment(directory: str | Path):
     from repro.core.velox import Velox
     from repro.core.manager import ModelHealth
     from repro.core.bootstrap import UserWeightAverager
+    from repro.core.online import user_state_policy
     from repro.batch import BatchContext
     from repro.cluster import NetworkModel, VeloxCluster
 
@@ -85,8 +86,7 @@ def load_deployment(directory: str | Path):
         raise StorageError(
             f"unsupported deployment format {meta.get('format_version')!r}"
         )
-    config_fields = dict(meta["config"])
-    config = VeloxConfig(**config_fields)
+    config = VeloxConfig.from_dict(meta["config"])
 
     with open(path / "models.pkl", "rb") as handle:
         registry_dump = pickle.load(handle)
@@ -95,11 +95,19 @@ def load_deployment(directory: str | Path):
         hop_latency=config.remote_hop_latency, bandwidth=config.remote_bandwidth
     )
     cluster = VeloxCluster(num_nodes=config.num_nodes, network=network)
-    # Restore the store with uid partitioning on every user-state table.
-    partitioners = {
-        f"user_state:{name}": cluster.user_partitioner for name in registry_dump
-    }
-    cluster.store = restore_store(path / "store", partitioners=partitioners)
+    # Restore every user-state table with uid partitioning and the
+    # storage policy add_model built (from the lowest version, the model
+    # it registered), so boxed states in a checkpoint are re-encoded.
+    partitioners, value_policies = {}, {}
+    for name, records in registry_dump.items():
+        deployed = min(records, key=lambda r: r["version"])["model"]
+        partitioners[f"user_state:{name}"] = cluster.user_partitioner
+        value_policies[f"user_state:{name}"] = user_state_policy(
+            deployed.dimension, config.regularization
+        )
+    cluster.store = restore_store(
+        path / "store", partitioners=partitioners, value_policies=value_policies
+    )
     cluster.store.default_partitions = config.num_nodes
 
     velox = Velox(
@@ -124,8 +132,9 @@ def load_deployment(directory: str | Path):
         current = velox.registry.get(name)
         averager = UserWeightAverager(current.dimension)
         table = cluster.store.table(f"user_state:{name}")
-        for uid, state in table.items():
-            averager.update(uid, state.weights)
+        ids, matrix = table.export_weight_matrix().arrays()
+        for uid, row in zip(ids.tolist(), matrix):
+            averager.update(uid, row)
         velox.manager.averagers[name] = averager
 
     velox._default_model = meta.get("default_model")

@@ -27,11 +27,11 @@ import numpy as np
 from repro.common.config import VeloxConfig
 from repro.common.errors import PartitionError, ValidationError
 from repro.core.model import ModelRegistry, VeloxModel
-from repro.core.online import UserModelState, UserStateCodec, make_updater
+from repro.core.online import UserModelState, make_updater, user_state_policy
 from repro.core.bootstrap import UserWeightAverager
 from repro.metrics.streaming import StreamingMeanVar, WindowedMean
 from repro.store.oblog import Observation
-from repro.store.slab import ArrayMapping, SlabPolicy
+from repro.store.slab import ArrayMapping
 
 
 @dataclass
@@ -221,7 +221,9 @@ class ModelManager:
             self._state_table_name(model.name),
             num_partitions=self.cluster.num_nodes,
             partitioner=self.cluster.user_partitioner,
-            value_policy=self._user_weight_policy(model),
+            value_policy=user_state_policy(
+                model.dimension, self.config.regularization
+            ),
         )
         log = store.create_log(self._log_name(model.name))
         self.health[model.name] = ModelHealth(window=self.config.staleness_window)
@@ -235,31 +237,17 @@ class ModelManager:
             for observation in seed_observations:
                 log.append(observation)
 
-    def _user_weight_policy(self, model: VeloxModel) -> SlabPolicy | None:
-        """The storage policy for a model's user-state table.
-
-        ``user_weight_store="slab"`` keeps pristine (never-observed)
-        user states as contiguous slab rows via the lossless
-        :class:`~repro.core.online.UserStateCodec`; observed states stay
-        dict-resident objects. ``"dict"`` keeps the historical layout.
-        """
-        if self.config.user_weight_store != "slab":
-            return None
-        return SlabPolicy(
-            model.dimension,
-            codec=UserStateCodec(model.dimension, self.config.regularization),
-        )
-
     def _install_user_weights(
         self, model, table, averager, user_weights
     ) -> None:
         """Install offline-trained user weights as fresh pristine states.
 
-        Slab-backed tables take the bulk path: one columnar load per
-        partition (a single journaled record) instead of a per-user
-        encode/journal/put.
+        The bulk path: one columnar load per partition (a single
+        journaled record) instead of a per-user encode/journal/put. A
+        retrain UDF may return a model of another dimension than the
+        table's rows; those states land dict-resident, one put per user.
         """
-        if table.value_policy is not None and table.value_policy.rank == model.dimension:
+        if table.value_policy.rank == model.dimension:
             if isinstance(user_weights, ArrayMapping):
                 ids, matrix = user_weights.arrays()
                 ids = np.asarray(ids, dtype=np.int64)
@@ -511,18 +499,12 @@ class ModelManager:
         model = self.registry.get(model_name)
         log = self.observation_log(model_name)
         offset = log.snapshot_offset()
-        table = self.user_state_table(model_name)
-        if table.value_policy is not None:
-            # One columnar copy per partition instead of a per-user
-            # object decode + weight copy.
-            weights = table.export_weight_matrix()
-        else:
-            weights = {uid: table.get(uid).weights.copy() for uid in table.keys()}
         return _RetrainSnapshot(
             model=model,
             offset=offset,
             observations=log.read_range(0, offset),
-            weights=weights,
+            # One columnar copy per partition, no per-user state decode.
+            weights=self.user_state_table(model_name).export_weight_matrix(),
             hot_features=self.service.cached_feature_items(model_name),
             hot_predictions=self.service.cached_predictions(model_name),
         )

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError, ValidationError
 from repro.metrics.streaming import StreamingMeanVar
+from repro.store.slab import SlabPolicy
 
 
 class UserModelState:
@@ -202,6 +203,16 @@ class UserStateCodec:
             "dimension": self.dimension,
             "regularization": self.regularization,
         }
+
+
+def user_state_policy(dimension: int, regularization: float) -> SlabPolicy:
+    """The storage policy of every ``user_state:<model>`` table.
+
+    Pristine (never-observed) user states live as contiguous slab rows
+    through the lossless :class:`UserStateCodec`; observed states stay
+    dict-resident objects until the next offline swap.
+    """
+    return SlabPolicy(dimension, codec=UserStateCodec(dimension, regularization))
 
 
 class OnlineUpdater(ABC):

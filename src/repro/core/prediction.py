@@ -148,28 +148,13 @@ class PredictionService:
         network_latency = self.cluster.charge_user_access(
             node_id, uid, model.dimension * 8
         )
-        read = self._read_user_state(table, uid)
+        # Read in place, no state decode: pristine users get the policy's
+        # shared shim, with the ``weight_version`` and ``uncertainty`` the
+        # materialized state would carry.
+        read = table.read_weights(uid)
         if read is not None:
-            return read[0], read[1], network_latency
+            return read.weights, read.state, network_latency
         return self._bootstrap_weights(model, uid, network_latency)
-
-    def _read_user_state(self, table, uid: int):
-        """``(weights, state-like)`` for a known user, else ``None``.
-
-        Slab-backed tables read the weight row in place — no per-request
-        state decode; slab-resident (pristine) users get the policy's
-        shared serving shim, which carries the same ``weight_version``
-        and ``uncertainty`` the materialized state would.
-        """
-        if table.value_policy is not None:
-            read = table.read_weights(uid)
-            if read is not None:
-                return read.weights, read.state
-            return None
-        state = table.get_or_default(uid)
-        if state is not None:
-            return state.weights, state
-        return None
 
     def _bootstrap_weights(self, model, uid: int, network_latency: float):
         """The unknown-user fallback leg of :meth:`_user_weights`."""
@@ -314,31 +299,24 @@ class PredictionService:
             node.stats.requests_served += 1
         item_keys = [item_cache_key(x) for x in xs]
         # One weight/state read (and one staleness check) per distinct
-        # user in the batch. Slab-backed tables resolve every distinct
-        # user in one fancy-index gather per partition; the per-user
-        # network charge (a modeled cost, not a real read) is unchanged.
+        # user in the batch: every distinct user resolves in one
+        # fancy-index gather per partition; the per-user network charge
+        # (a modeled cost, not a real read) is unchanged.
         table = self._user_state_table_for(model.name)
-        batch_reads = None
-        if table.value_policy is not None:
-            batch_reads = table.read_weights_batch(list(dict.fromkeys(user_ids)))
+        batch_reads = table.read_weights_batch(list(dict.fromkeys(user_ids)))
         weights_by_uid: dict[int, tuple] = {}
         stale_by_uid: dict[int, bool] = {}
         for i, uid in enumerate(user_ids):
             if uid not in weights_by_uid:
-                if batch_reads is None:
-                    weights_by_uid[uid] = self._user_weights(
-                        model, uid, nodes[i].node_id
-                    )
-                else:
-                    latency = self.cluster.charge_user_access(
-                        nodes[i].node_id, uid, model.dimension * 8
-                    )
-                    read = batch_reads.get(uid)
-                    weights_by_uid[uid] = (
-                        (read.weights, read.state, latency)
-                        if read is not None
-                        else self._bootstrap_weights(model, uid, latency)
-                    )
+                latency = self.cluster.charge_user_access(
+                    nodes[i].node_id, uid, model.dimension * 8
+                )
+                read = batch_reads.get(uid)
+                weights_by_uid[uid] = (
+                    (read.weights, read.state, latency)
+                    if read is not None
+                    else self._bootstrap_weights(model, uid, latency)
+                )
                 stale_by_uid[uid] = self._read_is_stale(uid)
         results: list[PredictionResult | None] = [None] * n
         misses: list[tuple[int, tuple]] = []  # (batch index, cache key)
@@ -421,9 +399,10 @@ class PredictionService:
         model = self.registry.get(model_name)
         node = self.cluster.router.route(uid)
         table = self._user_state_table_for(model.name)
-        read = self._read_user_state(table, uid)
+        read = table.read_weights(uid)
         weight_version = (
-            read[1].weight_version if read is not None and read[1] is not None else 0
+            read.state.weight_version
+            if read is not None and read.state is not None else 0
         )
         cache_key = (
             model.name, model.version, uid, weight_version, item_cache_key(x)

@@ -61,10 +61,7 @@ class Velox:
         if config.analytics:
             from repro.analytics import AnalyticsEngine
 
-            self.analytics = AnalyticsEngine(
-                cluster.store,
-                window_width=int(config.extra.get("analytics_window", 100)),
-            )
+            self.analytics = AnalyticsEngine(cluster.store)
         self._default_model: str | None = None
 
     @classmethod
@@ -86,18 +83,8 @@ class Velox:
         if cfg.replication_factor > 1:
             from repro.replication import ReplicationManager
 
-            extra = cfg.extra
             replication = ReplicationManager(
-                cluster,
-                replication_factor=cfg.replication_factor,
-                virtual_nodes=int(extra.get("replication_virtual_nodes", 64)),
-                max_lag_records=int(extra.get("replication_max_lag_records", 128)),
-                heartbeat_interval=float(
-                    extra.get("replication_heartbeat_interval", 0.02)
-                ),
-                heartbeat_timeout=float(
-                    extra.get("replication_heartbeat_timeout", 0.1)
-                ),
+                cluster, replication_factor=cfg.replication_factor
             )
             # Attach before any model deploys so every user-state table
             # created later gets replica sets via the store listener.

@@ -178,7 +178,7 @@ class ReplicationManager:
                 self._replicas[key] = [
                     PartitionReplica(
                         table.name, index, node_id,
-                        value_policy=getattr(table, "value_policy", None),
+                        value_policy=table.value_policy,
                     )
                     for node_id in self.follower_nodes(table.name, index)
                 ]
@@ -385,10 +385,7 @@ class ReplicationManager:
             if not self.cluster.nodes[replica.node_id].alive:
                 continue
             replica.promote(partition.journal.next_sequence)
-            partition.failover = PromotedPartitionView(
-                replica, partition.journal,
-                value_policy=getattr(partition, "value_policy", None),
-            )
+            partition.failover = PromotedPartitionView(replica, partition.journal)
             self._promoted[key] = replica
             if self._namespace(table_name) == "user":
                 self._user_partition_serving[index] = replica.node_id

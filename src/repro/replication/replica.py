@@ -108,18 +108,15 @@ class PartitionReplica:
         elif op is JournalOp.LOAD:
             self._store.bulk_install(value)
 
-    def install_snapshot(self, state, sequence: int) -> None:
+    def install_snapshot(self, state: HybridExport, sequence: int) -> None:
         """Replace the replica wholesale (catch-up past compaction).
 
-        Dict exports are deep-copied as before; slab exports
-        (:class:`~repro.store.slab.HybridExport`) carry owned arrays the
-        replica adopts outright — the O(bytes) transfer path.
+        An export owns every object and array it carries (the primary
+        exports once per follower), so the replica adopts them outright
+        — the O(bytes) transfer path, with no second deep copy.
         """
         self._store = HybridStore(self.value_policy)
-        if isinstance(state, HybridExport):
-            self._store.load_export(state, copy_objects=False)
-        else:
-            self._store.load_export(state, copy_objects=True)
+        self._store.load_export(state, copy_objects=False)
         self.applied_sequence = sequence
         self.snapshot_transfers += 1
 
@@ -196,8 +193,7 @@ class PromotedPartitionView:
     journal records written during failover replay identically.
     """
 
-    def __init__(self, replica: PartitionReplica, journal, on_write=None,
-                 value_policy=None):
+    def __init__(self, replica: PartitionReplica, journal):
         if not replica.promoted:
             raise ReplicationError(
                 f"replica of {replica.table_name}[{replica.partition_index}] "
@@ -205,18 +201,6 @@ class PromotedPartitionView:
             )
         self.replica = replica
         self._journal = journal
-        self.value_policy = (
-            value_policy if value_policy is not None else replica.value_policy
-        )
-        #: callable(replica) fired after each failover-era mutation.
-        self._on_write = on_write
-
-    def _encode(self, key: object, value: object) -> object:
-        if self.value_policy is not None:
-            row = self.value_policy.encode(key, value)
-            if row is not None:
-                return SlabRow(row)
-        return value
 
     def get(self, key: object) -> tuple[object, int] | None:
         return self.replica.get(key)
@@ -234,32 +218,24 @@ class PromotedPartitionView:
         return self.replica.items()
 
     def put(self, key: object, value: object) -> int:
-        stored = self._encode(key, value)
+        stored = self.replica.store.route(key, value)
         version = self.replica.local_put(key, stored)
         self._journal.append(JournalOp.PUT, key, _wire_copy(stored), version)
-        if self._on_write is not None:
-            self._on_write(self.replica)
         return version
 
     def install(self, key: object, value: object, version: int) -> None:
         if version < 1:
             raise ValueError(f"version must be >= 1, got {version}")
-        stored = self._encode(key, value)
+        stored = self.replica.store.route(key, value)
         self.replica.local_install(key, _wire_copy(stored), version)
         self._journal.append(JournalOp.PUT, key, _wire_copy(stored), version)
-        if self._on_write is not None:
-            self._on_write(self.replica)
 
     def delete(self, key: object) -> bool:
         existed = self.replica.local_delete(key)
         if existed:
             self._journal.append(JournalOp.DELETE, key, None, 0)
-            if self._on_write is not None:
-                self._on_write(self.replica)
         return existed
 
     def truncate(self) -> None:
         self.replica.local_truncate()
         self._journal.append(JournalOp.TRUNCATE, None, None, 0)
-        if self._on_write is not None:
-            self._on_write(self.replica)

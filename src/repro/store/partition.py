@@ -9,9 +9,9 @@ Physical storage is a :class:`~repro.store.slab.HybridStore`: tables
 that declare a :class:`~repro.store.slab.SlabPolicy` keep fixed-rank
 vector values in one contiguous columnar array per partition (row
 reads/writes, fancy-index gathers, O(bytes) snapshot copies) while
-everything else stays in a plain dict. Policy-less tables behave exactly
-like the historical dict-only partition, including the shape of
-``export_state``.
+everything else stays in a plain dict. Policy-less tables keep every
+value in that dict and export the same
+:class:`~repro.store.slab.HybridExport` (with ``slab=None``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from repro.common.errors import PartitionError
 from repro.store.journal import Journal, JournalOp
 from repro.store.slab import (
+    HybridExport,
     HybridStore,
     SlabPolicy,
     SlabRow,
@@ -47,7 +48,7 @@ class Partition:
         self.value_policy = value_policy
         self._store = HybridStore(value_policy)
         self._journal = Journal()
-        self._snapshot = None  # dict export or HybridExport
+        self._snapshot = None  # HybridExport
         self._snapshot_sequence = 0
         self._failed = False
         #: failover delegate (duck-typed like this partition's mapping
@@ -108,16 +109,7 @@ class Partition:
         if self.on_mutate is not None:
             self.on_mutate(self)
 
-    # -- value routing ---------------------------------------------------
-
-    def _encode(self, key: object, value: object) -> object:
-        """Route a domain value: a SlabRow when the policy accepts it,
-        the value itself otherwise."""
-        if self.value_policy is not None:
-            row = self.value_policy.encode(key, value)
-            if row is not None:
-                return SlabRow(row)
-        return value
+    # -- value presentation ----------------------------------------------
 
     def _present(self, entry):
         """Decode a raw ``(value, version)`` entry for callers."""
@@ -237,7 +229,7 @@ class Partition:
         if delegate is not None:
             return delegate.put(key, value)
         self._check_alive()
-        stored = self._encode(key, value)
+        stored = self._store.route(key, value)
         version = self._store.version(key) + 1
         self._journal.append(JournalOp.PUT, key, stored, version)
         self._store.set(key, stored, version)
@@ -258,20 +250,16 @@ class Partition:
             delegate.install(key, value, version)
             return
         self._check_alive()
-        stored = self._encode(key, value)
+        stored = self._store.route(key, value)
         self._journal.append(JournalOp.PUT, key, stored, version)
         self._store.set(key, stored, version)
         self._mutated()
 
-    def load_rows(self, keys, matrix, live_rows: np.ndarray | None = None) -> None:
+    def load_rows(self, keys, matrix) -> None:
         """Bulk-install slab rows as ONE journal record.
 
         ``keys``/``matrix`` land at version ``current + 1`` per key
-        (retrain swap semantics). When ``live_rows`` is given (the
-        memory-mapped restore path) the partition must be empty: the
-        journal keeps the read-only snapshot arrays while ``live_rows``
-        — typically a copy-on-write ``np.load(mmap_mode="c")`` mapping
-        of the same file — is adopted as the live slab without copying.
+        (retrain swap semantics).
         """
         delegate = self._delegate()
         if delegate is not None:
@@ -285,10 +273,7 @@ class Partition:
         self._check_alive()
         snapshot = self._store.prepare_bulk(keys, matrix)
         self._journal.append(JournalOp.LOAD, None, snapshot, 0)
-        if live_rows is not None and len(self._store) == 0:
-            self._store.slab.adopt(snapshot.keys, live_rows, snapshot.versions)
-        else:
-            self._store.bulk_install(snapshot)
+        self._store.bulk_install(snapshot)
         self._mutated()
 
     @staticmethod
@@ -387,14 +372,13 @@ class Partition:
         self._failed = False
         return replayed
 
-    def export_state(self):
+    def export_state(self) -> tuple[HybridExport, int]:
         """A ``(state, sequence)`` copy for replica snapshot transfer.
 
-        Policy-less partitions export the classic deep-copied
-        ``{key: (value, version)}`` dict; slab-backed partitions export
-        a :class:`~repro.store.slab.HybridExport` whose columnar side is
-        an O(bytes) array copy (and whose arrays the receiver may adopt
-        outright — every buffer is owned by the export).
+        The state is a :class:`~repro.store.slab.HybridExport`: objects
+        deep-copied, the columnar side (``None`` without a policy) an
+        O(bytes) array copy the receiver may adopt outright — every
+        buffer is owned by the export.
 
         Valid even while failed: the durable snapshot + journal are
         replayed without reviving the partition, so a follower that fell

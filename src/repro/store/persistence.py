@@ -63,12 +63,14 @@ def checkpoint_store(store: VeloxStore, directory: str | Path) -> Path:
             "file": file_name,
             "num_partitions": table.num_partitions,
         }
-        if table.value_policy is not None:
-            # Columnar side as raw .npy arrays (memory-mappable on
-            # restore); only the object-resident remainder is pickled.
-            partitions, slab_files = [], []
-            for index in range(table.num_partitions):
-                export, _sequence = table.partition(index).export_state()
+        # Every partition exports one shape: the object side is pickled;
+        # a columnar side, when the table has one, goes out as raw .npy
+        # arrays (memory-mappable on restore).
+        partitions, slab_files = [], []
+        for index in range(table.num_partitions):
+            export, _sequence = table.partition(index).export_state()
+            partitions.append(export.objects)
+            if export.slab is not None:
                 stem = f"table_{_safe_name(name)}_p{index}"
                 files = {
                     "keys": f"{stem}_keys.npy",
@@ -79,19 +81,12 @@ def checkpoint_store(store: VeloxStore, directory: str | Path) -> Path:
                 np.save(path / files["rows"], export.slab.rows)
                 np.save(path / files["versions"], export.slab.versions)
                 slab_files.append(files)
-                partitions.append(export.objects)
+        if slab_files:
             entry["storage"] = {
                 "kind": "slab",
                 "policy": table.value_policy.manifest_info(),
                 "partitions": slab_files,
             }
-        else:
-            partitions = []
-            for index in range(table.num_partitions):
-                partition = table.partition(index)
-                partitions.append(
-                    {key: partition.get(key) for key in partition.keys()}
-                )
         with open(path / file_name, "wb") as handle:
             pickle.dump(partitions, handle)
         tables[name] = entry
@@ -198,20 +193,18 @@ def _load_slabs(table: Table, path: Path, partition_files: list[dict]) -> None:
 
 def _policy_from_manifest(info: dict) -> SlabPolicy:
     """Rebuild a table's storage policy from its manifest entry."""
-    codec = None
     codec_info = info.get("codec")
-    if codec_info is not None:
-        if codec_info.get("kind") == "user_state":
-            from repro.core.online import UserStateCodec
+    if codec_info is None:
+        return SlabPolicy(info["rank"], dtype=np.dtype(info["dtype"]))
+    if codec_info.get("kind") != "user_state":
+        raise StorageError(
+            f"unknown slab codec kind {codec_info.get('kind')!r}"
+        )
+    from repro.core.online import user_state_policy
 
-            codec = UserStateCodec(
-                codec_info["dimension"], codec_info["regularization"]
-            )
-        else:
-            raise StorageError(
-                f"unknown slab codec kind {codec_info.get('kind')!r}"
-            )
-    return SlabPolicy(info["rank"], dtype=np.dtype(info["dtype"]), codec=codec)
+    return user_state_policy(
+        codec_info["dimension"], codec_info["regularization"]
+    )
 
 
 def _load_table(table: Table, partitions: list[dict]) -> None:

@@ -95,19 +95,17 @@ class SlabSnapshot:
 
 @dataclass
 class HybridExport:
-    """``export_state`` payload of a slab-backed partition.
+    """The one ``export_state`` payload, for every partition.
 
-    The columnar snapshot carries every slab-resident entry; ``objects``
-    carries the dict-resident remainder as ``{key: (value, version)}``.
+    The columnar snapshot carries every slab-resident entry (``None``
+    for a policy-less store, which has no slab); ``objects`` carries
+    the dict-resident remainder as ``{key: (value, version)}``.
     Every array and object in an export is an owned copy, so installing
     one on a replica is an ownership transfer, not another deep copy.
     """
 
-    slab: SlabSnapshot
+    slab: SlabSnapshot | None
     objects: dict
-
-    def __len__(self) -> int:
-        return len(self.slab) + len(self.objects)
 
 
 class SlabPolicy:
@@ -417,6 +415,15 @@ class HybridStore:
 
     # -- point ops (raw values: SlabRow or object) ---------------------
 
+    def route(self, key: object, value: object) -> object:
+        """A domain value as stored: a SlabRow when the policy accepts
+        it, the value itself otherwise."""
+        if self.policy is not None:
+            row = self.policy.encode(key, value)
+            if row is not None:
+                return SlabRow(row)
+        return value
+
     def get(self, key: object):
         """``(raw value, version)`` — slab hits come back as SlabRow."""
         entry = self.objects.get(key)
@@ -555,40 +562,32 @@ class HybridStore:
 
     # -- export / import ------------------------------------------------
 
-    def export_state(self):
-        """An owned copy of the full store.
-
-        Policy-less stores return the classic ``{key: (value, version)}``
-        deep copy; slab-backed stores return a :class:`HybridExport`
-        whose columnar side is an O(bytes) array copy.
-        """
-        if self.slab is None:
-            return copy.deepcopy(self.objects)
+    def export_state(self) -> HybridExport:
+        """An owned copy of the full store: the object side deep-copied,
+        the columnar side (when there is one) an O(bytes) array copy."""
         return HybridExport(
-            slab=self.slab.export(),
+            slab=self.slab.export() if self.slab is not None else None,
             objects=copy.deepcopy(self.objects),
         )
 
-    def load_export(self, export, copy_objects: bool) -> None:
+    def load_export(self, export: HybridExport, copy_objects: bool) -> None:
         """Replace this store's contents with an export.
 
         ``copy_objects`` deep-copies the object side (needed when the
         export is retained elsewhere, e.g. a partition snapshot being
         rebuilt from); ownership transfers skip it.
         """
-        if isinstance(export, HybridExport):
-            if self.slab is None:
-                raise ValueError(
-                    "cannot install a slab export into a dict-only store"
-                )
-            self.objects = (
-                copy.deepcopy(export.objects) if copy_objects
-                else dict(export.objects)
+        if export.slab is not None and self.slab is None:
+            raise ValueError(
+                "cannot install a slab export into a dict-only store"
             )
+        self.objects = (
+            copy.deepcopy(export.objects) if copy_objects
+            else dict(export.objects)
+        )
+        if export.slab is not None:
             self.slab.load(export.slab, replace=True)
-            return
-        self.objects = copy.deepcopy(export) if copy_objects else dict(export)
-        if self.slab is not None:
+        elif self.slab is not None:
             self.slab.clear()
 
     def export_weights(self) -> tuple[np.ndarray, np.ndarray]:

@@ -412,15 +412,6 @@ class TestVeloxIntegration:
         self.observe_some(deployed_velox, n=40)
         assert deployed_velox.analytics_integrity().ok
 
-    def test_window_width_from_config_extra(self):
-        from repro import Velox, VeloxConfig
-
-        velox = Velox.deploy(
-            VeloxConfig(num_nodes=1, extra={"analytics_window": 7}),
-            auto_retrain=False,
-        )
-        assert velox.analytics.window_width == 7
-
     def test_disabled_analytics_raises_config_error(self):
         from repro import Velox, VeloxConfig
 

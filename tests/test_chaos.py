@@ -10,11 +10,11 @@ import threading
 import pytest
 
 from repro import chaos
+from repro.batch.scheduler import FailureInjector
 from repro.chaos import (
     ChaosInjector,
     FaultRule,
     FaultSchedule,
-    ScheduledFailureInjector,
     scheduled_worker_kills,
 )
 from repro.common.clock import SimulatedClock
@@ -353,17 +353,23 @@ class TestScheduledWorkerKills:
             [FaultRule("batch.worker_kill", probability=1.0, max_faults=1)],
             seed=3,
         )
-        injector = ScheduledFailureInjector.from_schedule(schedule, partitions=4)
-        assert injector.schedule is schedule
+        injector = FailureInjector(
+            worker_kills=scheduled_worker_kills(schedule, partitions=4)
+        )
         assert injector.worker_kills == {0}
         assert injector.should_kill_worker(0)
         assert not injector.should_kill_worker(1)
-        # The driver-side consumption API is inherited unchanged.
+        # The driver-side consumption API works on the resolved set.
         assert injector.consume_worker_kill(0)
         assert not injector.consume_worker_kill(0)
 
     def test_no_rules_means_no_kills(self):
         schedule = FaultSchedule([], seed=3)
         assert scheduled_worker_kills(schedule, partitions=8) == set()
-        injector = ScheduledFailureInjector.from_schedule(schedule, partitions=8)
+        injector = FailureInjector(
+            worker_kills=scheduled_worker_kills(schedule, partitions=8)
+        )
         assert injector.worker_kills == set()
+
+    def test_one_failure_injector(self):
+        assert not hasattr(chaos, "ScheduledFailureInjector")

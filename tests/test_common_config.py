@@ -1,5 +1,7 @@
 """VeloxConfig validation."""
 
+import json
+
 import pytest
 
 from repro.common import ConfigError, VeloxConfig
@@ -21,9 +23,16 @@ class TestVeloxConfigDefaults:
         with pytest.raises(AttributeError):
             cfg.num_nodes = 10
 
-    def test_extra_dict_available(self):
-        cfg = VeloxConfig(extra={"note": "hi"})
-        assert cfg.extra["note"] == "hi"
+    @pytest.mark.parametrize(
+        "retired, value",
+        [("user_weight_store", "dict"), ("extra", {"analytics_window": 7})],
+    )
+    def test_retired_fields_are_gone_and_rejected(self, retired, value):
+        assert not hasattr(VeloxConfig(), retired)
+        saved = json.loads(VeloxConfig().to_json())
+        saved[retired] = value
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            VeloxConfig.from_json(json.dumps(saved))
 
 
 class TestVeloxConfigValidation:
@@ -76,7 +85,6 @@ class TestConfigSerialization:
     def test_json_roundtrip(self):
         original = VeloxConfig(
             num_nodes=6, regularization=2.5, online_update_method="sgd",
-            extra={"note": "prod"},
         )
         restored = VeloxConfig.from_json(original.to_json())
         assert restored == original

@@ -6,6 +6,7 @@ import pytest
 from repro import Velox, VeloxConfig
 from repro.common.errors import ValidationError
 from repro.core.manager import ModelHealth
+from repro.core.model import VeloxModel
 from tests.conftest import make_initial_weights, make_mf_model
 
 
@@ -98,7 +99,42 @@ class TestHealthTracking:
         assert len(health.validation_pool) == 1  # pool survives
 
 
+class _WideningModel(VeloxModel):
+    """Each retrain returns a model one dimension wider, with every
+    user's weights padded by a 1.0."""
+
+    def features(self, x):
+        return np.full(self.dimension, float(x))
+
+    def retrain(self, batch_context, observations, user_weights):
+        wider = _WideningModel(self.name, self.dimension + 1, self.version + 1)
+        return wider, {
+            uid: np.append(w, 1.0) for uid, w in user_weights.items()
+        }
+
+
 class TestRetrain:
+    def test_retrain_to_another_dimension_installs_every_user(self):
+        """The table's rows keep the deployed rank, so the wider states
+        land dict-resident — and serving still reads them."""
+        velox = Velox.deploy(VeloxConfig(num_nodes=2), auto_retrain=False)
+        weights = {uid: np.full(3, float(uid)) for uid in range(1, 7)}
+        velox.add_model(_WideningModel("wide", 3), initial_user_weights=weights)
+        velox.observe(uid=2, x=1.0, y=4.0)  # one dict-resident user too
+        velox.retrain()
+        table = velox.manager.user_state_table("wide")
+        assert table.value_policy.rank == 3
+        assert sorted(table.keys()) == list(range(1, 7))
+        for uid in (1, 5, 6):  # pristine before the swap
+            state = table.get(uid)
+            assert state.weights.tolist() == [uid, uid, uid, 1.0]
+            assert state.weight_version == 0
+            assert velox.predict(None, uid, 2.0)[1] == pytest.approx(
+                2.0 * (3 * uid + 1.0)
+            )
+        assert velox.manager.averager("wide").dimension == 4
+        assert len(velox.manager.averager("wide")) == 6
+
     def test_manual_retrain_bumps_version(self, deployed_velox, small_split):
         for r in small_split.stream[:200]:
             deployed_velox.observe(uid=r.uid, x=r.item_id, y=r.rating)

@@ -1,10 +1,15 @@
 """Whole-deployment save/load."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
 from repro import Velox
-from repro.common.errors import StorageError
+from repro.common.errors import ConfigError, StorageError
+from repro.core.online import UserModelState
+from repro.store import VeloxStore, checkpoint_store
 
 
 class TestSaveLoad:
@@ -89,3 +94,49 @@ class TestSaveLoad:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(StorageError):
             Velox.load(tmp_path / "nothing-here")
+
+    def test_retired_config_key_is_named_before_the_store_is_read(
+        self, deployed_velox, tmp_path
+    ):
+        deployed_velox.save(tmp_path / "d")
+        meta = json.loads((tmp_path / "d" / "deployment.json").read_text())
+        meta["config"]["frontend"] = "threaded"  # retired in PR 13
+        (tmp_path / "d" / "deployment.json").write_text(json.dumps(meta))
+        shutil.rmtree(tmp_path / "d" / "store")
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['frontend'\]"):
+            Velox.load(tmp_path / "d")
+
+    def test_policy_less_checkpoint_restores_slab_backed(
+        self, deployed_velox, tmp_path
+    ):
+        """A store checkpointed from a policy-less table of boxed user
+        states (what the retired dict layout wrote) must come back with
+        the storage policy serving reads through."""
+        deployed_velox.save(tmp_path / "d")
+        model = deployed_velox.model()
+        lam = deployed_velox.config.regularization
+        store = VeloxStore(default_partitions=deployed_velox.cluster.num_nodes)
+        boxed = store.create_table(
+            "user_state:songs",
+            partitioner=deployed_velox.cluster.user_partitioner,
+        )
+        weights = {uid: np.full(model.dimension, 0.1 * uid) for uid in (1, 2, 3)}
+        for uid, w in weights.items():
+            boxed.put(uid, UserModelState(model.dimension, lam, prior_mean=w))
+        store.create_log("observations:songs")
+        assert boxed.value_policy is None
+        shutil.rmtree(tmp_path / "d" / "store")
+        checkpoint_store(store, tmp_path / "d" / "store")
+
+        restored = Velox.load(tmp_path / "d")
+        table = restored.manager.user_state_table("songs")
+        assert table.value_policy is not None
+        for uid, w in weights.items():
+            slab = table.partition(table.partition_index(uid))._store.slab
+            assert uid in slab  # pristine: re-encoded into a row
+            features = restored.model().features(4)
+            assert restored.predict(None, uid, 4)[1] == pytest.approx(
+                float(w @ features)
+            )
+        mean = restored.manager.averager("songs").mean()
+        assert np.allclose(mean, np.full(model.dimension, 0.2))

@@ -18,11 +18,11 @@ from repro.replication import ReplicationManager
 from tests.conftest import make_initial_weights, make_mf_model
 
 
-def deploy_replicated(trained_als, **extra) -> Velox:
+def deploy_replicated(trained_als) -> Velox:
     model = make_mf_model(trained_als)
     weights = make_initial_weights(model, trained_als)
     velox = Velox.deploy(
-        VeloxConfig(num_nodes=4, replication_factor=2, extra=extra),
+        VeloxConfig(num_nodes=4, replication_factor=2),
         auto_retrain=False,
     )
     velox.add_model(model, initial_user_weights=weights)
@@ -132,12 +132,9 @@ class TestFailoverServing:
 
     def test_heartbeat_loop_promotes_without_any_read(self, trained_als):
         """Pure heartbeat detection: no request touches the dead node,
-        yet its partitions get promoted within a few intervals."""
-        velox = deploy_replicated(
-            trained_als,
-            replication_heartbeat_interval=0.01,
-            replication_heartbeat_timeout=0.05,
-        )
+        yet its partitions get promoted within a few intervals (the
+        constructor defaults: 0.02 s beats, 0.1 s timeout)."""
+        velox = deploy_replicated(trained_als)
         try:
             velox.replication.ship()
             velox.cluster.fail_node(1)

@@ -20,6 +20,7 @@ from repro.replication import (
 )
 from repro.replication.manager import report_dead_nodes
 from repro.store.journal import JournalOp, JournalRecord
+from repro.store.partition import Partition
 
 
 NUM_NODES = 4
@@ -183,6 +184,21 @@ class TestShipping:
         table.put(2, "via-tick")
         assert manager.tick() == []  # nobody died...
         assert manager.max_lag() == 0  # ...but shipping still ran
+
+
+class TestSnapshotInstall:
+    def test_installed_policy_less_export_does_not_alias_the_primary(self):
+        """The export is already an owned deep copy and the primary
+        exports once per follower, so the install adopts it as is."""
+        partition = Partition(0)
+        partition.put("k", [1, 2])
+        state, sequence = partition.export_state()
+        replica = PartitionReplica("t", 0, node_id=1)
+        replica.install_snapshot(state, sequence)
+        assert replica.applied_sequence == sequence
+        replica.get("k")[0].append(99)
+        assert replica.get("k") == ([1, 2, 99], 1)
+        assert partition.get("k") == ([1, 2], 1)
 
 
 class TestGaplessApply:

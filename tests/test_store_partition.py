@@ -211,14 +211,15 @@ class TestExportState:
         part.put("a", 2)
         part.put("b", 3)
         state, sequence = part.export_state()
-        assert state == {"a": (2, 2), "b": (3, 1)}
+        assert state.objects == {"a": (2, 2), "b": (3, 1)}
+        assert state.slab is None  # no policy, no columnar side
         assert sequence == part.journal.next_sequence
 
     def test_export_is_a_copy(self):
         part = Partition(0)
         part.put("a", [1, 2])
         state, _ = part.export_state()
-        state["a"][0][0] = 99
+        state.objects["a"][0][0] = 99
         assert part.get("a") == ([1, 2], 1)
 
     def test_export_while_failed_rebuilds_from_durable_state(self):
@@ -231,7 +232,7 @@ class TestExportState:
         part.put("post", 1)
         part.fail()
         state, sequence = part.export_state()
-        assert state[3] == (3, 1)
-        assert state["post"] == (1, 1)
+        assert state.objects[3] == (3, 1)
+        assert state.objects["post"] == (1, 1)
         assert sequence == part.journal.next_sequence
         assert part.failed  # exporting does not revive the partition

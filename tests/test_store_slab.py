@@ -206,19 +206,14 @@ def logical_state(part: Partition) -> dict:
 
 
 def exported_logical(state) -> dict:
-    """Flatten a dict or HybridExport export to comparable contents."""
-    from repro.store.slab import HybridExport
-
+    """Flatten an export to comparable contents."""
     out = {}
-    if isinstance(state, HybridExport):
+    if state.slab is not None:
         for key, vector, version in zip(
             state.slab.keys, state.slab.rows, state.slab.versions
         ):
             out[int(key)] = (vector.tobytes(), int(version))
-        items = state.objects.items()
-    else:
-        items = state.items()
-    for key, (value, version) in items:
+    for key, (value, version) in state.objects.items():
         if isinstance(value, SlabRow):
             value = value.vector
         if isinstance(value, np.ndarray):
