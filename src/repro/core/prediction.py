@@ -22,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.config import VeloxConfig
-from repro.common.errors import PartitionError, UserNotFoundError, ValidationError
+from repro.common.errors import (
+    ModelNotFoundError,
+    PartitionError,
+    UserNotFoundError,
+    ValidationError,
+)
 from repro.core.bandits import BanditPolicy, GreedyPolicy
 from repro.core.model import ModelRegistry
 from repro.core.online import UserModelState
@@ -135,6 +140,32 @@ class PredictionService:
         features = model.validate_features(model.features(x))
         cache.put(key, features)
         return features, False, network_latency
+
+    def features_on_hand(self, model_name: str, x: object) -> bool:
+        """Whether scoring ``x`` costs at most a table row, whichever
+        node serves it.
+
+        True for a materialized model (a miss is one row of the feature
+        table) and for a computed model whose f(x) is in the feature
+        cache of every alive node: the router, or a failover inside the
+        read, picks the serving node, and a miss there runs the feature
+        function, which may cost anything. False for an unknown model or
+        an item no cache key can be derived for: the scoring path
+        reports those. Reads the caches without touching recency or
+        statistics.
+        """
+        try:
+            model = self.registry.get(model_name)
+            if model.materialized:
+                return True
+            key = (model.name, model.version, item_cache_key(x))
+        except (ModelNotFoundError, ValidationError):
+            return False
+        return all(
+            key in cache
+            for node, cache in zip(self.cluster.nodes, self.feature_caches)
+            if node.alive
+        )
 
     def _user_weights(self, model, uid: int, node_id: int) -> tuple[np.ndarray, UserModelState | None, float]:
         """Read the user's weights (and state, when it exists).

@@ -10,6 +10,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
+import numpy as np
+
 from repro.common.errors import ReproError
 from repro.core.bandits import make_policy
 from repro.frontend.api import (
@@ -208,10 +210,6 @@ class VeloxClient:
             def _complete(done) -> None:
                 try:
                     outer.set_result(ApiResponse(ok=True, payload=build(done.result())))
-                except ReproError as err:
-                    outer.set_result(
-                        ApiResponse(ok=False, error=f"{type(err).__name__}: {err}")
-                    )
                 except Exception as err:
                     outer.set_result(
                         ApiResponse(ok=False, error=f"{type(err).__name__}: {err}")
@@ -248,6 +246,39 @@ class VeloxClient:
             return self._completed(
                 ApiResponse(ok=False, error=f"{type(err).__name__}: {err}")
             )
+
+    def predict_inline(
+        self, request: PredictApiRequest, enqueue_time: float | None = None
+    ) -> ApiResponse | None:
+        """Answer an ordinary predict on the calling thread when the
+        engine is idle; ``None`` means "not taken": the caller falls
+        back to :meth:`dispatch_async`, which does exactly what it did
+        before this leg existed.
+
+        The event-loop server tries this for at most one frame per turn,
+        and only one that arrived alone, so the reactor computes one
+        cheap row and goes back to ``select``. Which requests are
+        eligible is decided in one place,
+        :meth:`~repro.serving.ServingEngine.predict_inline`; this only
+        wraps its answer. Errors become the envelopes the engine path
+        would have sent.
+        """
+        if self.engine is None:
+            return None
+        try:
+            result = self.engine.predict_inline(
+                request.uid,
+                request.item,
+                model=request.model,
+                enqueue_time=enqueue_time,
+                deadline=request.deadline,
+                degraded=request.degraded,
+            )
+        except Exception as err:
+            return ApiResponse(ok=False, error=f"{type(err).__name__}: {err}")
+        if result is None:
+            return None
+        return ApiResponse(ok=True, payload=self._predict_payload(result))
 
     @staticmethod
     def _completed(response: ApiResponse) -> "Future[ApiResponse]":
@@ -446,6 +477,9 @@ class VeloxClient:
                 payload["analytics"] = analytics.describe()
             if self.engine is not None:
                 payload["resilience"] = self.engine.resilience.snapshot()
+                # Per-queue counters, ``inline`` among them: how many
+                # predicts the reactor answered itself.
+                payload["serving"] = self.engine.metrics_snapshot()
             return ApiResponse(ok=True, payload=payload)
         return ApiResponse(
             ok=False, error=f"unknown request type {type(request).__name__}"
@@ -455,8 +489,6 @@ class VeloxClient:
 def _wire_item(item: object) -> object:
     """Item payloads as plain python values (numpy scalars unboxed,
     arrays as lists), the shape response payloads have always had."""
-    import numpy as np
-
     if isinstance(item, np.integer):
         return int(item)
     if isinstance(item, np.floating):

@@ -26,6 +26,14 @@ Design:
   residence. Completion callbacks run on engine worker threads; they
   only enqueue a closure and wake the loop — all connection state is
   mutated by the loop thread alone, so no per-connection locks exist.
+* **The lone predict is served where it was decoded.** An ordinary
+  predict that is alone in its read and finds the engine idle is
+  admitted, scored and framed on the loop thread
+  (:meth:`VeloxClient.predict_inline`): no queue entry, no future, no
+  wake byte. At most one attempt per turn, hit or miss, and none for
+  the head of a burst, so frames that arrive together still fill a
+  batch together and the loop computes at most one cached-feature row
+  before it returns to ``select``.
 * **One wake and one send per turn.** A completion wakes the loop
   through the self-pipe only when the loop may be asleep in ``select``
   with no wake byte on its way; responses queued during a turn leave in
@@ -44,8 +52,9 @@ Design:
   :class:`~repro.common.errors.TransportError` on its pending futures.
 
 Requests without an engine path (status, retrain, observe) execute
-inline on the loop thread; the hot path — predict/top-k with an engine
-attached — never blocks the loop.
+inline on the loop thread and are framed as soon as they return; the
+hot path — predict/top-k with an engine attached — never blocks the
+loop for more than that one row.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from collections import deque
 from repro import chaos
 from repro.common.errors import TransportError, ValidationError
 from repro.frontend import wire
-from repro.frontend.api import ApiResponse
+from repro.frontend.api import ApiResponse, PredictApiRequest
 from repro.frontend.client import VeloxClient
 from repro.metrics.frontend import FrontendCounters
 
@@ -118,6 +127,15 @@ class _Connection:
         #: Injected write stall (chaos ``frontend.stall_write``): while
         #: set, the outbound buffer accumulates but nothing is sent.
         self.stalled = False
+
+
+def _response_of(done) -> ApiResponse:
+    """A completed dispatch future's response; a raise becomes the
+    error envelope."""
+    try:
+        return done.result()
+    except Exception as err:
+        return ApiResponse(ok=False, error=f"{type(err).__name__}: {err}")
 
 
 class EventLoopServer:
@@ -192,6 +210,8 @@ class EventLoopServer:
         #: between ``select`` returning and its completion drain, or a
         #: byte that will end its ``select`` is already on its way.
         self._awake = False
+        #: Whether this turn has already tried the inline predict leg.
+        self._inline_tried = False
         #: Connections with bytes queued this turn, flushed at its end.
         self._dirty: set[_Connection] = set()
         #: Live chaos-delay timers (cancelled on teardown).
@@ -299,6 +319,7 @@ class EventLoopServer:
             while not self._stop_requested:
                 events = self._selector.select(timeout=1.0)
                 self._awake = True
+                self._inline_tried = False
                 for key, mask in events:
                     data = key.data
                     if data is _ACCEPT:
@@ -464,9 +485,25 @@ class EventLoopServer:
                 ApiResponse(ok=False, error=f"{type(err).__name__}: {err}"),
             )
             return
+        if type(request) is PredictApiRequest and not self._inline_tried:
+            self._inline_tried = True
+            # Lone: nothing behind it in this read. The head of a burst
+            # is not worth answering apart from the batch it belongs to.
+            if not conn.decoder.buffered:
+                response = self.velox_client.predict_inline(
+                    request, conn.recv_stamp
+                )
+                if response is not None:
+                    self._queue_frame(conn, corr_id, response)
+                    return
         future = self.velox_client.dispatch_async(
             request, enqueue_time=conn.recv_stamp
         )
+        if future.done():
+            # Answered on this thread (observe, status, a degraded read,
+            # a shed at admission): there is no hand-off to route back.
+            self._queue_frame(conn, corr_id, _response_of(future))
+            return
         conn.pending.add(future)
         self.counters.dispatch_started()
         future.add_done_callback(
@@ -482,13 +519,7 @@ class EventLoopServer:
             self.counters.dispatch_finished()
         if conn.closed:
             return  # the socket died while the engine worked
-        try:
-            response = done.result()
-        except Exception as err:
-            response = ApiResponse(
-                ok=False, error=f"{type(err).__name__}: {err}"
-            )
-        self._queue_frame(conn, corr_id, response)
+        self._queue_frame(conn, corr_id, _response_of(done))
         self._maybe_finish_drain(conn)
 
     # -- writes & backpressure ------------------------------------------------

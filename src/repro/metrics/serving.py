@@ -73,6 +73,7 @@ class QueueMetrics:
         self.end_to_end = LatencyRecorder(f"{name}:end_to_end")
         self.batch_sizes = Histogram(f"{name}:batch_size")
         self._enqueued = 0
+        self._inline = 0
         self._completed = 0
         self._shed_admission = 0
         self._shed_age = 0
@@ -82,9 +83,13 @@ class QueueMetrics:
 
     # -- writers (called by the engine) -------------------------------------
 
-    def on_enqueue(self) -> None:
+    def on_enqueue(self, *, inline: bool = False) -> None:
+        """One request admitted; ``inline`` when the caller's thread
+        serves it (it is counted, but never sits in the queue)."""
         with self._lock:
             self._enqueued += 1
+            if inline:
+                self._inline += 1
 
     def on_shed(self, *, at_admission: bool) -> None:
         with self._lock:
@@ -141,6 +146,7 @@ class QueueMetrics:
         with self._lock:
             counters = {
                 "enqueued": self._enqueued,
+                "inline": self._inline,
                 "completed": self._completed,
                 "shed_admission": self._shed_admission,
                 "shed_age": self._shed_age,

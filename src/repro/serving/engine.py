@@ -5,9 +5,12 @@ router that owns user-weight locality, so a batch never mixes nodes), a
 shared worker pool forms batches under the configured policy, and every
 batch is evaluated through the vectorized
 :meth:`~repro.core.prediction.PredictionService.predict_batch` fast
-path. Overload is handled explicitly: full queues shed at admission,
-stale requests shed at dequeue, and (optionally) ``top_k`` degrades to
-the prediction-cache-only path instead of rejecting.
+path. A lone predict that finds the engine idle is served where it was
+decoded (:meth:`ServingEngine.predict_inline`, the scalar ``predict``)
+and never crosses a thread. Overload is handled explicitly: full queues
+shed at admission, stale requests shed at dequeue, and (optionally)
+``top_k`` degrades to the prediction-cache-only path instead of
+rejecting.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ class ServingEngine:
         self._metrics: dict[tuple[str, int], QueueMetrics] = {}
         self._workers: list[threading.Thread] = []
         self._running = False
+        #: Set by ``stop()``, cleared by ``start()``: a stopped engine
+        #: refuses work; one not yet started queues it for its workers.
+        self._stopped = False
+        #: Batches taken by a worker and not yet finished (under
+        #: ``_cond``).
+        self._executing = 0
         #: Engine-side resilience counters (deadline sheds, degraded
         #: responses); exported through the status endpoint.
         self.resilience = ResilienceMetrics("engine")
@@ -92,6 +101,7 @@ class ServingEngine:
             if self._running:
                 raise ValidationError("serving engine already started")
             self._running = True
+            self._stopped = False
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"serving-worker-{i}", daemon=True
@@ -110,6 +120,7 @@ class ServingEngine:
         """
         with self._cond:
             self._running = False
+            self._stopped = True
             self._cond.notify_all()
         for worker in self._workers:
             worker.join(timeout=5)
@@ -235,7 +246,21 @@ class ServingEngine:
             raise DeadlineExceededError(
                 "admission", f"budget spent before enqueue on {queue.name}"
             )
-        if not queue.offer(request):
+        with self._cond:
+            # ``stop()`` sets the flag under this lock and drains after:
+            # a request is either queued before the flag, and failed by
+            # that drain, or refused here. None is parked for ever.
+            stopped = self._stopped
+            admitted = not stopped and queue.offer(request)
+            if admitted:
+                # Counted before a worker can be woken to complete it:
+                # no reader sees ``completed`` ahead of ``enqueued``.
+                metrics.on_enqueue()
+                self._cond.notify()
+        if stopped:
+            metrics.on_shed(at_admission=True)
+            raise OverloadedError(queue.name, "engine stopped")
+        if not admitted:
             if (
                 request.kind == "top_k"
                 and self.config.degrade_top_k_on_overload
@@ -258,10 +283,70 @@ class ServingEngine:
             raise OverloadedError(
                 queue.name, f"queue depth bound {queue.max_depth} reached"
             )
-        metrics.on_enqueue()
-        with self._cond:
-            self._cond.notify()
         return request.future
+
+    def predict_inline(
+        self,
+        uid: int,
+        x: object,
+        model: str | None = None,
+        enqueue_time: float | None = None,
+        deadline: float | None = None,
+        degraded: bool = False,
+    ):
+        """Serve one point prediction on the calling thread, if the
+        engine is idle; ``None`` means "not taken: enqueue it".
+
+        The reactor's leg for the lone predict: with nothing queued and
+        no batch executing a worker could only add its wake-up to the
+        answer, so the request is admitted, scored by the scalar
+        ``predict`` and accounted to its queue's metrics as a batch of
+        one, without a :class:`QueuedRequest` or a future. Declined, from
+        state the engine can observe, whenever the queued path would do
+        something else with the request: a ``degraded`` read has its own
+        cache-only rung in front of the queues, ``fixed_delay`` lingers
+        on purpose, a depth bound of zero admits nothing, a chaos plan
+        may delay the handler (which must not sleep on the caller), a
+        stopped or not yet started engine serves nothing, a spent
+        deadline is shed at admission, and a feature function is not
+        the caller's to run (:meth:`PredictionService.features_on_hand`).
+        Every gate is here; callers only wrap the answer. Compute errors
+        propagate, after the accounting.
+
+        Inline serves do not feed the batching policy, which sizes its
+        cap against queued load.
+        """
+        config = self.config
+        if (
+            degraded
+            or config.batching == "fixed_delay"
+            or config.max_queue_depth < 1
+            or chaos.active() is not None
+        ):
+            return None
+        # Read without the lock: with workers busy this is where a
+        # saturated reactor turns back, and a stale answer only picks
+        # the other leg. The lock guards the walk over the queues.
+        if not self._running or self._executing:
+            return None
+        with self._cond:
+            if any(map(len, self._queues.values())):
+                return None
+        model_name = self.velox._model_name(model)
+        service = self.velox.service
+        if not service.features_on_hand(model_name, x):
+            return None
+        start = self.clock.now()
+        stamp = enqueue_time if enqueue_time is not None else start
+        if deadline is not None and start >= stamp + float(deadline):
+            return None
+        node_id = self.velox.cluster.router.route_index(uid)
+        _, metrics = self._queue_for((model_name, node_id))
+        metrics.on_enqueue(inline=True)
+        try:
+            return service.predict(model_name, uid, x)
+        finally:
+            self._account_batch(metrics, [stamp], start, self.clock.now())
 
     def _queue_for(
         self, key: tuple[str, int]
@@ -281,14 +366,21 @@ class ServingEngine:
     # -- worker pool ---------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        job = None
         while True:
             with self._cond:
+                # The batch just executed is retired in the block that
+                # looks for the next one: "a batch is executing" costs
+                # the engine path no lock of its own.
+                if job is not None:
+                    self._executing -= 1
                 if not self._running:
                     return
                 job, wait_hint = self._next_batch()
                 if job is None:
                     self._cond.wait(timeout=wait_hint)
                     continue
+                self._executing += 1
             self._execute(*job)
 
     def _next_batch(self):
@@ -367,28 +459,43 @@ class ServingEngine:
         handler_delay = chaos.latency("engine.slow_handler")
         if handler_delay > 0.0:
             self.clock.advance(handler_delay)
-        for request in batch:
-            metrics.wait.record(request.age(start))
-        metrics.batch_sizes.observe(len(batch))
         try:
             outcomes = self._run_batch(model_name, batch)
         except Exception:
             # One poisoned request must not fail its batch neighbours:
             # fall back to serving each request individually.
             outcomes = [self._run_single(request) for request in batch]
-        end = self.clock.now()
-        metrics.service.record(max(0.0, end - start))
-        worst = 0.0
+        worst = self._account_batch(
+            metrics, [r.enqueue_time for r in batch], start, self.clock.now()
+        )
         for request, outcome in zip(batch, outcomes):
-            elapsed = max(0.0, end - request.enqueue_time)
-            metrics.end_to_end.record(elapsed)
-            worst = max(worst, elapsed)
-            metrics.on_complete(slo_hit=elapsed <= self.config.slo_p99)
             if isinstance(outcome, BaseException):
                 request.future.set_exception(outcome)
             else:
                 request.future.set_result(outcome)
         former.policy.observe(len(batch), worst)
+
+    def _account_batch(
+        self,
+        metrics: QueueMetrics,
+        enqueue_times: list[float],
+        start: float,
+        end: float,
+    ) -> float:
+        """Count one scored batch in its queue's metrics, whichever
+        thread scored it: its size and service time and, per request,
+        the wait (arrival to start of compute), the end-to-end latency
+        and the SLO verdict. Returns the worst end-to-end latency."""
+        metrics.batch_sizes.observe(len(enqueue_times))
+        metrics.service.record(max(0.0, end - start))
+        worst = 0.0
+        for stamp in enqueue_times:
+            metrics.wait.record(max(0.0, start - stamp))
+            elapsed = max(0.0, end - stamp)
+            metrics.end_to_end.record(elapsed)
+            worst = max(worst, elapsed)
+            metrics.on_complete(slo_hit=elapsed <= self.config.slo_p99)
+        return worst
 
     def _run_batch(self, model_name: str, batch: list[QueuedRequest]):
         """Evaluate a whole batch through one ``predict_batch`` call.

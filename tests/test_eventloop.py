@@ -397,6 +397,113 @@ class TestReactorTurn:
             sock.close()
             server.stop()
 
+    def test_lone_predict_on_idle_engine_is_answered_in_its_own_turn(
+        self, deployed_velox, monkeypatch
+    ):
+        """No future, no queue entry, no wake byte, one ``send``: the
+        reactor admits, scores and frames it where it decoded it."""
+        engine = deployed_velox.serving_engine(ServingConfig())
+        server = VeloxServer(deployed_velox, engine=engine).start()
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        try:
+            sock.sendall(wire.HELLO_V2)
+            _read_hello(sock)
+            (conn,) = server._conns
+            conn.sock = counted = _CountingSocket(conn.sock)
+            server._wake_w = wake = _CountingSocket(server._wake_w)
+            futures = []
+            init = Future.__init__
+            monkeypatch.setattr(
+                Future, "__init__",
+                lambda self: (futures.append(self), init(self))[1],
+            )
+            sock.sendall(
+                wire.encode_request_frame(PredictApiRequest(uid=1, item=2), 7)
+            )
+            _opcode, corr_id, payload = wire.read_frame(sock.makefile("rb"))
+            response = wire.decode_response_payload(payload)
+            assert corr_id == 7 and response.ok, response.error
+            assert response.payload["item"] == 2
+            assert futures == []
+            assert (wake.sends, counted.sends) == (0, 1)
+            assert server.counters.snapshot()["dispatch_depth"] == 0
+            (snapshot,) = engine.metrics_snapshot().values()
+            assert (
+                snapshot["enqueued"], snapshot["inline"], snapshot["completed"]
+            ) == (1, 1, 1)
+            status = server.velox_client.status().payload["serving"]
+            assert sum(q["inline"] for q in status.values()) == 1
+        finally:
+            sock.close()
+            server.stop()
+
+    def test_frames_sharing_a_read_fill_batches_not_the_reactor(
+        self, deployed_velox
+    ):
+        """40 predicts in one read: the head of a burst is not a lone
+        predict, so none is served inline; they queue up and batch."""
+        total = 40
+        engine = deployed_velox.serving_engine(
+            ServingConfig(num_workers=1, batching="adaptive", slo_p99=5.0)
+        )
+        server = VeloxServer(deployed_velox, engine=engine).start()
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        try:
+            sock.sendall(wire.HELLO_V2)
+            _read_hello(sock)
+            # Park the loop so that every frame is in the socket buffer
+            # when its next turn reads.
+            parked, release = threading.Event(), threading.Event()
+            server._schedule(lambda: (parked.set(), release.wait(5)))
+            assert parked.wait(5)
+            sock.sendall(
+                b"".join(
+                    wire.encode_request_frame(PredictApiRequest(uid=1, item=i), i)
+                    for i in range(total)
+                )
+            )
+            release.set()
+            rfile = sock.makefile("rb")
+            answered = {wire.read_frame(rfile)[1] for _ in range(total)}
+            assert answered == set(range(total))
+            (snapshot,) = engine.metrics_snapshot().values()
+            assert snapshot["completed"] == total
+            assert snapshot["inline"] == 0
+            assert snapshot["batch_size_mean"] > 1.0
+        finally:
+            sock.close()
+            server.stop()
+
+    def test_one_inline_attempt_per_turn(self, deployed_velox):
+        """Two sockets, one lone predict each, read in the same turn: the
+        reactor answers one itself and queues the other."""
+        engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
+        server = VeloxServer(deployed_velox, engine=engine).start()
+        socks = [
+            socket.create_connection((server.host, server.port), timeout=5)
+            for _ in range(2)
+        ]
+        try:
+            for sock in socks:
+                sock.sendall(wire.HELLO_V2)
+                _read_hello(sock)
+            parked, release = threading.Event(), threading.Event()
+            server._schedule(lambda: (parked.set(), release.wait(5)))
+            assert parked.wait(5)
+            for n, sock in enumerate(socks):
+                sock.sendall(
+                    wire.encode_request_frame(PredictApiRequest(uid=1, item=n), n)
+                )
+            release.set()
+            for n, sock in enumerate(socks):
+                assert wire.read_frame(sock.makefile("rb"))[1] == n
+            (snapshot,) = engine.metrics_snapshot().values()
+            assert (snapshot["inline"], snapshot["completed"]) == (1, 2)
+        finally:
+            for sock in socks:
+                sock.close()
+            server.stop()
+
     def test_inline_requests_schedule_no_self_wake(self, deployed_velox):
         server = VeloxServer(deployed_velox)
         server._wake_w = wake = _CountingSocket(server._wake_w)

@@ -165,3 +165,77 @@ class TestTopKEngineProperty:
         for engine_cls in (NaiveTopK, BlockedMatrixTopK, ThresholdTopK):
             result = engine_cls(matrix).top_k(weights, k)
             assert [item for item, __ in result] == expected, engine_cls.__name__
+
+
+class TestScalarLegEqualsBatchedLeg:
+    """``service.predict`` answers the reactor's inline serves;
+    ``predict_batch`` answers the same lone request when a worker takes
+    it. Two copies of one deployment, driven by the same operations, one
+    through each leg."""
+
+    KNOWN, PRISTINE, UNKNOWN = range(0, 3), range(3, 6), range(100, 103)
+
+    @staticmethod
+    def _deploy(seed: int, cache_capacity: int):
+        from repro import Velox, VeloxConfig
+        from repro.core.models import MatrixFactorizationModel
+
+        rng = np.random.default_rng(seed)
+        model = MatrixFactorizationModel(
+            "m", rng.normal(size=(8, 3)), rng.normal(size=8), 3.0
+        )
+        velox = Velox.deploy(
+            VeloxConfig(num_nodes=2, prediction_cache_capacity=cache_capacity),
+            auto_retrain=False,
+        )
+        velox.add_model(
+            model,
+            initial_user_weights={
+                uid: rng.normal(size=model.dimension) for uid in range(6)
+            },
+        )
+        for uid in TestScalarLegEqualsBatchedLeg.KNOWN:
+            velox.observe(uid, int(rng.integers(8)), float(rng.normal()))
+        return velox
+
+    @given(
+        seed=st.integers(0, 1_000),
+        cache_capacity=st.sampled_from([0, 2, 1_000]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["predict", "predict", "observe"]),
+                st.sampled_from([*KNOWN, *PRISTINE, *UNKNOWN]),
+                st.integers(0, 7),
+                st.floats(-2, 2, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_answers_same_flags_same_cache(self, seed, cache_capacity, ops):
+        scalar = self._deploy(seed, cache_capacity)
+        batched = self._deploy(seed, cache_capacity)
+        for op, uid, item, label in ops:
+            if op == "observe":
+                scalar.observe(uid, item, label)
+                batched.observe(uid, item, label)
+                continue
+            one = scalar.service.predict("m", uid, item)
+            (row,) = batched.service.predict_batch("m", [uid], [item])
+            assert one.score == pytest.approx(row.score, abs=1e-12)
+            assert (
+                one.item, one.uncertainty, one.node_id, one.stale,
+                one.feature_cache_hit, one.prediction_cache_hit,
+            ) == (
+                row.item, row.uncertainty, row.node_id, row.stale,
+                row.feature_cache_hit, row.prediction_cache_hit,
+            )
+        for ours, theirs in zip(
+            scalar.service.prediction_caches, batched.service.prediction_caches
+        ):
+            ours, theirs = list(ours.items()), list(theirs.items())
+            assert [key for key, _ in ours] == [key for key, _ in theirs]
+            for (_, (score, spread)), (_, (score_b, spread_b)) in zip(ours, theirs):
+                assert score == pytest.approx(score_b, abs=1e-12)
+                assert spread == spread_b

@@ -14,7 +14,10 @@ import pytest
 
 from repro import Velox, VeloxConfig
 from repro.common.errors import ConfigError
+from repro.frontend import PipelinedClient, VeloxServer
+from repro.frontend.api import PredictApiRequest
 from repro.replication import ReplicationManager
+from repro.serving import ServingConfig
 from tests.conftest import make_initial_weights, make_mf_model
 
 
@@ -94,6 +97,31 @@ class TestFailoverServing:
         assert result.stale is True
         # Healthy users are untouched by the failover.
         assert replicated.predict_detailed(None, 2, 3).stale is False
+
+    def test_inline_predict_fails_over_like_the_engine_path(self, trained_als):
+        """The owner dies unshipped. One deployment answers the lone
+        predict on the reactor (idle engine), its twin through the
+        queues: both promote on that read and flag it stale."""
+        payloads = []
+        for inline in (True, False):
+            velox = deploy_replicated(trained_als)
+            velox.shutdown()  # no heartbeat: the read itself promotes
+            velox.cluster.fail_node(1)
+            engine = velox.serving_engine(ServingConfig())
+            with VeloxServer(velox, engine=engine) as server:
+                if not inline:  # no inline leg: every predict is queued
+                    server.velox_client.predict_inline = lambda *a, **k: None
+                with PipelinedClient(server.host, server.port) as client:
+                    response = client.call(PredictApiRequest(uid=1, item=3))
+            assert response.ok, response.error
+            payloads.append(response.payload)
+            served = sum(q["inline"] for q in engine.metrics_snapshot().values())
+            assert served == (1 if inline else 0)
+            assert velox.replication.metrics.failover_count == 1
+            serving = velox.replication.serving_node_for_user_partition(1)
+            assert response.payload["node"] == serving != 1
+        assert payloads[0]["stale"] is True
+        assert payloads[0] == payloads[1]
 
     def test_unrelated_users_unaffected_by_node_loss(self, replicated):
         replicated.replication.ship()

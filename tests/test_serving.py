@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro import Velox, VeloxConfig
+from repro import Velox, VeloxConfig, chaos
+from repro.chaos import ChaosInjector, FaultSchedule
 from repro.common.clock import SimulatedClock
 from repro.common.errors import (
     ConfigError,
@@ -13,6 +18,10 @@ from repro.common.errors import (
     OverloadedError,
     ValidationError,
 )
+from repro.core.models.linear import PersonalizedLinearModel
+from repro.frontend import PipelinedClient, VeloxServer
+from repro.frontend.api import PredictApiRequest
+from repro.frontend.client import VeloxClient
 from repro.serving import (
     AdaptiveAimdPolicy,
     BatchFormer,
@@ -466,3 +475,229 @@ class TestWorkConservingDispatch:
             dead.result(timeout=0)
         assert not live.done()
         assert engine.resilience.snapshot()["deadline_sheds"] == {"queue": 1}
+
+
+def _blocked_worker(engine):
+    """Start ``engine`` and park its one worker inside a batch: returns
+    the event that lets the batch finish."""
+    executing, release = threading.Event(), threading.Event()
+    execute = engine._execute
+
+    def held(key, batch):
+        executing.set()
+        assert release.wait(10)
+        execute(key, batch)
+
+    engine._execute = held
+    engine.start()
+    engine.submit_predict(1, 99)
+    assert executing.wait(10)
+    return release
+
+
+class TestInlinePredict:
+    """The lone predict is served on the caller's thread by an idle
+    engine, and by the queued path — with the counters it has always
+    kept — in every other case."""
+
+    def test_idle_engine_serves_and_accounts_a_batch_of_one(self, deployed_velox):
+        clock = SimulatedClock()
+        engine = deployed_velox.serving_engine(
+            ServingConfig(num_workers=1), clock=clock
+        )
+        expected = deployed_velox.service.predict("songs", 1, 2).score
+        with engine:
+            clock.advance(0.002)  # on the wire since the recv stamp
+            result = engine.predict_inline(1, 2, enqueue_time=0.0, deadline=1.0)
+            key = ("songs", deployed_velox.cluster.router.route_index(1))
+            limit = engine._formers[key].policy.batch_limit()
+        assert result.score == pytest.approx(expected, abs=1e-12)
+        metrics = engine.queue_metrics()[f"songs@node{key[1]}"]
+        snapshot = metrics.snapshot()
+        assert (
+            snapshot["enqueued"], snapshot["inline"], snapshot["completed"],
+            snapshot["shed_total"], snapshot["slo_hits"],
+        ) == (1, 1, 1, 0, 1)
+        assert snapshot["batch_size_counts"] == {1: 1}
+        assert metrics.wait.samples == [pytest.approx(0.002)]
+        assert metrics.service.samples == [0.0]
+        assert metrics.end_to_end.samples == [pytest.approx(0.002)]
+        assert limit == 1  # AIMD sizes its cap against queued load only
+        assert engine.queue_depths() == {f"songs@node{key[1]}": 0}
+
+    def test_compute_error_is_accounted_then_raised(self, deployed_velox):
+        engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
+        with engine:
+            with pytest.raises(ValidationError):
+                engine.predict_inline(1, object())  # unkeyable item
+        (snapshot,) = engine.metrics_snapshot().values()
+        assert (snapshot["enqueued"], snapshot["completed"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "fixed_delay", "zero_depth", "queued_work", "batch_executing",
+            "chaos_plan", "stopped", "not_started", "degraded",
+            "spent_deadline", "computed_features_cold",
+        ],
+    )
+    def test_gate_declines_and_todays_path_keeps_its_counters(
+        self, deployed_velox, case
+    ):
+        clock = SimulatedClock()
+        config = {
+            "fixed_delay": ServingConfig(num_workers=1, batching="fixed_delay",
+                                         batch_delay=60.0),
+            "zero_depth": ServingConfig(num_workers=1, max_queue_depth=0),
+        }.get(case, ServingConfig(num_workers=1))
+        engine = deployed_velox.serving_engine(config, clock=clock)
+        client = VeloxClient(deployed_velox, engine=engine)
+        request = PredictApiRequest(
+            uid=1, item=2,
+            degraded=case == "degraded",
+            deadline=0.01 if case == "spent_deadline" else None,
+        )
+        if case == "computed_features_cold":
+            # f(x) would have to be run: that is a worker's job.
+            deployed_velox.add_model(PersonalizedLinearModel("lin", 2))
+            request = PredictApiRequest(uid=1, item=(0.5, 2.0), model="lin")
+        plan = contextlib.nullcontext()
+        release = None
+        if case == "batch_executing":
+            release = _blocked_worker(engine)
+        elif case == "queued_work":
+            # Running, with no worker thread to race the assertions.
+            engine._running = True
+            engine.submit_predict(1, 99)
+        elif case == "stopped":
+            engine.start()
+            engine.stop()
+        elif case != "not_started":
+            engine.start()
+        if case == "chaos_plan":
+            plan = chaos.installed(ChaosInjector(FaultSchedule([])))
+        if case == "spent_deadline":
+            clock.advance(0.05)
+        try:
+            with plan:
+                assert client.predict_inline(request, enqueue_time=0.0) is None
+                future = client.dispatch_async(request, enqueue_time=0.0)
+                if release is not None:
+                    release.set()
+                answered = case not in ("fixed_delay", "queued_work", "not_started")
+                if answered:
+                    response = future.result(timeout=10)
+                else:
+                    assert not future.done()  # lingering, or no worker yet
+        finally:
+            engine.stop()
+        snapshots = engine.metrics_snapshot().values()
+        total = {
+            key: sum(s[key] for s in snapshots)
+            for key in ("enqueued", "inline", "completed", "shed_admission")
+        }
+        assert total["inline"] == 0
+        prior = 1 if case in ("queued_work", "batch_executing") else 0
+        if case == "zero_depth":
+            assert response.error.startswith(
+                "OverloadedError: queue 'songs@node"
+            ) and "queue depth bound 0 reached" in response.error
+            assert (total["enqueued"], total["shed_admission"]) == (0, 1)
+        elif case == "stopped":
+            assert response.error.startswith(
+                "OverloadedError: queue 'songs@node"
+            ) and response.error.endswith("engine stopped")
+            assert (total["enqueued"], total["shed_admission"]) == (0, 1)
+        elif case == "degraded":
+            assert response.error.startswith("DegradedError: no cached prediction")
+            assert total["enqueued"] == 0
+            assert engine.resilience.snapshot()["degraded"] == {"error": 1}
+        elif case == "spent_deadline":
+            assert response.error.startswith(
+                "DeadlineExceededError: deadline exceeded at admission: "
+                "budget spent before enqueue on songs@node"
+            )
+            assert (total["enqueued"], total["shed_admission"]) == (0, 1)
+            assert engine.resilience.snapshot()["deadline_sheds"] == {"admission": 1}
+        else:
+            assert total["enqueued"] == prior + 1
+            if answered:
+                assert response.ok, response.error
+                assert total["completed"] == prior + 1
+
+    def test_computed_model_is_inline_once_every_node_caches_the_features(
+        self, deployed_velox
+    ):
+        """The reactor never runs a feature function: a computed model's
+        predict is inline only when f(x) is cached wherever the router,
+        or a failover inside the read, may serve it."""
+        model = PersonalizedLinearModel("lin", 2)
+        deployed_velox.add_model(model)
+        calls = []
+        features = model.features
+        model.features = lambda x: (calls.append(x), features(x))[1]
+        service = deployed_velox.service
+        x = (0.5, 2.0)
+        engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
+        with engine:
+            assert engine.predict_inline(1, x, model="lin") is None
+            served_by = engine.predict(1, x, model="lin", timeout=10).node_id
+            assert len(calls) == 1
+            # Warm where it was served, cold on the other node.
+            assert engine.predict_inline(1, x, model="lin") is None
+            service.get_features(model, x, 1 - served_by)
+            assert len(calls) == 2
+            result = engine.predict_inline(1, x, model="lin")
+            # A dead node's cold cache does not count against the rest.
+            other = (3.0, 4.0)
+            service.get_features(model, other, served_by)
+            deployed_velox.cluster.fail_node(1 - served_by)
+            on_survivor = engine.predict_inline(1, other, model="lin")
+        assert result is not None and on_survivor is not None
+        assert len(calls) == 3  # neither inline serve ran f(x)
+        inline = sum(
+            s["inline"] for s in engine.metrics_snapshot().values()
+        )
+        assert inline == 2
+
+    def test_worker_retires_its_batch_and_the_engine_is_idle_again(
+        self, deployed_velox
+    ):
+        engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
+        release = _blocked_worker(engine)
+        try:
+            assert engine.predict_inline(1, 2) is None
+            release.set()
+            deadline = time.monotonic() + 10
+            while engine.predict_inline(1, 2) is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            release.set()
+            engine.stop()
+        assert engine._executing == 0
+
+    def test_submit_after_stop_is_refused_not_parked(self, deployed_velox):
+        engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
+        engine.start()
+        engine.stop()
+        with pytest.raises(OverloadedError, match="engine stopped"):
+            engine.submit_predict(1, 2)
+        with pytest.raises(OverloadedError, match="engine stopped"):
+            engine.submit_top_k(1, [2, 3], k=1)
+        assert engine.queue_depths() == {
+            f"songs@node{deployed_velox.cluster.router.route_index(1)}": 0
+        }
+        with engine:  # a restart serves again
+            assert engine.predict(1, 2, timeout=10).item == 2
+
+    def test_zero_depth_bound_is_still_an_overloaded_envelope_over_tcp(
+        self, deployed_velox
+    ):
+        engine = deployed_velox.serving_engine(ServingConfig(max_queue_depth=0))
+        with VeloxServer(deployed_velox, engine=engine) as server:
+            with PipelinedClient(server.host, server.port) as client:
+                response = client.call(PredictApiRequest(uid=1, item=2))
+        assert not response.ok
+        assert response.error.startswith("OverloadedError: queue 'songs@node")
+        assert "shed request: queue depth bound 0 reached" in response.error
