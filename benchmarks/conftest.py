@@ -20,11 +20,13 @@ from repro.core.models import MatrixFactorizationModel
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def write_result(name: str, lines: list[str]) -> None:
+def write_result(
+    name: str, lines: list[str], directory: pathlib.Path = RESULTS_DIR
+) -> None:
     """Persist one experiment's series table (and echo it to stdout)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    directory.mkdir(exist_ok=True)
     text = "\n".join(lines) + "\n"
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    (directory / f"{name}.txt").write_text(text)
     print(f"\n[{name}]\n{text}")
 
 

@@ -4,24 +4,26 @@ The chaos layer (``repro/chaos``) + resilience stack (deadline budgets,
 retries, hedged reads, circuit breaking, the degradation ladder) claim
 that under injected trouble — a node kill, 10% dropped response frames,
 latency spikes — the resilient configuration holds its p99 SLO with
-zero client-visible errors, while the baseline (plain pooled client, no
-policies) blows the SLO and surfaces errors. This experiment records:
+zero client-visible errors, while the baseline (the same client with
+every policy turned off: a plain round-robin pool) blows the SLO and
+surfaces errors. This experiment records:
 
 * **determinism** — the same seeded :class:`FaultSchedule` replayed
   twice produces bit-identical injected-fault sequences (the property
   that makes any chaos run reproducible),
 * **baseline vs resilient** — the same fault schedule driven against
-  the same server stack with a plain :class:`ConnectionPool` and with a
-  :class:`ResilientClient`: per-config p99, client-visible errors, and
-  the resilience counters explaining the difference,
+  the same server stack with :class:`ResilientClient` twice, policies
+  off and policies on: per-config p99, client-visible errors, and the
+  resilience counters explaining the difference,
 * **deadline sheds** — a burst of spent-budget requests is shed
   entirely at pre-compute stages (admission/queue/pre-compute), never
   after model compute.
 
 Writes ``benchmarks/results/ablation_chaos.txt`` and the
 machine-readable ``BENCH_chaos.json`` at the repo root.
-
-Set ``RESILIENCE_SMOKE=1`` for the fast CI configuration.
+``RESILIENCE_SMOKE=1`` is the fast CI configuration; it writes both
+under ``.bench_out/`` so the tracked record of the full run is never
+overwritten by a smoke run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.common.clock import SimulatedClock
 from repro.common.errors import DeadlineExceededError, DegradedError, TransportError
 from repro.core.models import MatrixFactorizationModel
 from repro.frontend import (
-    ConnectionPool,
     HedgePolicy,
     PredictApiRequest,
     ResilientClient,
@@ -64,6 +65,7 @@ BASELINE_TIMEOUT = 0.2  # what one lost response costs the plain client
 SEED = 42
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+OUT_DIR = REPO_ROOT / ".bench_out"
 
 
 def fault_schedule() -> FaultSchedule:
@@ -146,14 +148,21 @@ def percentile_ms(latencies: list[float], q: float) -> float:
 
 
 def run_baseline() -> dict:
-    """Plain pooled client, no resilience policies, under the schedule."""
+    """A plain pool under the schedule: one endpoint, every policy off
+    (one attempt, no hedge, no degraded rung, a breaker no run trips)."""
     velox, engine = build_deployment()
     injector = ChaosInjector(fault_schedule())
     latencies, errors = [], 0
     try:
         with VeloxServer(velox, engine=engine) as server:
-            pool = ConnectionPool(
-                server.host, server.port, size=2, timeout=BASELINE_TIMEOUT
+            pool = ResilientClient(
+                [(server.host, server.port)],
+                pool_size=2,
+                timeout=BASELINE_TIMEOUT,
+                retry=RetryPolicy(max_attempts=1),
+                hedge=HedgePolicy(max_hedges=0),
+                breaker_threshold=WARMUP + REQUESTS + 1,
+                degrade=False,
             )
             try:
                 rng = np.random.default_rng(SEED + 1)
@@ -169,15 +178,18 @@ def run_baseline() -> dict:
                             )
                             if not response.ok:
                                 errors += 1
-                        except TransportError:
+                        except (TransportError, DegradedError):
                             errors += 1
                         latencies.append(time.perf_counter() - begin)
+                in_flight = pool.in_flight
             finally:
                 pool.close()
     finally:
         velox.shutdown()
     return {
         "errors": errors,
+        "timed_out": pool.metrics.timed_out,
+        "in_flight_after": in_flight,
         "p50_ms": percentile_ms(latencies, 50),
         "p99_ms": percentile_ms(latencies, 99),
         "injected": injector.event_count(),
@@ -228,6 +240,7 @@ def run_resilient() -> dict:
                         except (TransportError, DegradedError):
                             errors += 1
                         latencies.append(time.perf_counter() - begin)
+                in_flight = client.in_flight
             finally:
                 client.close()
     finally:
@@ -235,6 +248,7 @@ def run_resilient() -> dict:
     snapshot = client.metrics.snapshot()
     return {
         "errors": errors,
+        "in_flight_after": in_flight,
         "p50_ms": percentile_ms(latencies, 50),
         "p99_ms": percentile_ms(latencies, 99),
         "injected": injector.event_count(),
@@ -317,37 +331,43 @@ def test_chaos_resilience_summary(benchmark):
         f"hedges={resilient['client_metrics']['hedges_launched']} "
         f"(won {resilient['client_metrics']['hedges_won']}) "
         f"degraded={resilient['client_metrics']['degraded']}",
+        f"sends abandoned (slot released): baseline {baseline['timed_out']}, "
+        f"resilient {resilient['client_metrics']['timed_out']}; still in "
+        f"flight after the run: {baseline['in_flight_after']} and "
+        f"{resilient['in_flight_after']}",
         "",
         f"deadline burst: {sheds['shed']} shed / {sheds['served']} served; "
         f"shed stages {sheds['stages']} (all pre-compute)",
     ]
-    write_result("ablation_chaos", lines)
-
-    write_json_summary(
-        REPO_ROOT / "BENCH_chaos.json",
-        "ablation_chaos",
-        {
-            "smoke": SMOKE,
-            "slo_p99_ms": SLO_P99_MS,
-            "workload": {
-                "num_nodes": NUM_NODES,
-                "replication_factor": 2,
-                "num_users": NUM_USERS,
-                "num_items": NUM_ITEMS,
-                "requests": REQUESTS,
-                "baseline_timeout_s": BASELINE_TIMEOUT,
-            },
-            "schedule": schedule.to_dict(),
-            "determinism": {
-                "replay_events": len(signature_a),
-                "signatures_identical": signature_a == signature_b,
-                "signature_blake2b": signature_hash,
-            },
-            "baseline": baseline,
-            "resilient": resilient,
-            "deadline_sheds": sheds,
+    summary = {
+        "smoke": SMOKE,
+        "slo_p99_ms": SLO_P99_MS,
+        "workload": {
+            "num_nodes": NUM_NODES,
+            "replication_factor": 2,
+            "num_users": NUM_USERS,
+            "num_items": NUM_ITEMS,
+            "requests": REQUESTS,
+            "baseline_timeout_s": BASELINE_TIMEOUT,
         },
-    )
+        "schedule": schedule.to_dict(),
+        "determinism": {
+            "replay_events": len(signature_a),
+            "signatures_identical": signature_a == signature_b,
+            "signature_blake2b": signature_hash,
+        },
+        "baseline": baseline,
+        "resilient": resilient,
+        "deadline_sheds": sheds,
+    }
+    if SMOKE:
+        # Never over the tracked record of the full run.
+        write_result("ablation_chaos", lines, OUT_DIR)
+        json_path = OUT_DIR / "ablation_chaos.json"
+    else:
+        write_result("ablation_chaos", lines)
+        json_path = REPO_ROOT / "BENCH_chaos.json"
+    write_json_summary(json_path, "ablation_chaos", summary)
 
     # -- shape assertions ----------------------------------------------------
     # The baseline configuration blows its SLO under the schedule...
@@ -359,6 +379,10 @@ def test_chaos_resilience_summary(benchmark):
     assert resilient["errors"] == 0, "resilient config leaked client errors"
     assert resilient["p99_ms"] <= SLO_P99_MS
     assert resilient["client_metrics"]["hedges_launched"] > 0
+    # Every send nobody waited for any more gave its slot back.
+    assert baseline["timed_out"] == baseline["errors"]
+    assert resilient["client_metrics"]["timed_out"] > 0
+    assert baseline["in_flight_after"] == resilient["in_flight_after"] == 0
     assert resilient["injected_by_point"]["replication.dead_node"] == 1
     # Deadline sheds happen before model compute, never after.
     assert sheds["shed"] > 0

@@ -10,12 +10,13 @@ provides the equivalent for the reproduction:
   to a deployed :class:`~repro.core.velox.Velox` instance,
 * :class:`EventLoopServer` — the TCP server: one selector thread for
   every connection (``VeloxServer`` is a second name for it),
-* :class:`PipelinedClient` / :class:`ConnectionPool` — the socket
-  client (many in-flight correlated requests per socket) and a small
-  round-robin pool of them,
-* :class:`ResilientClient` — the policy stack on top of pooled
-  connections: retries under a token budget, hedged reads, per-endpoint
-  circuit breaking, and the degradation ladder.
+* :class:`PipelinedClient` — one socket carrying many in-flight
+  correlated requests,
+* :class:`ResilientClient` — the client transport: a round-robin,
+  self-reconnecting set of pipelined connections per endpoint, and the
+  policies every send goes through (retries under a token budget, hedged
+  reads, per-endpoint circuit breaking, the degradation ladder). A plain
+  pool is this class with the policies turned off.
 """
 
 from repro.frontend.api import (
@@ -31,7 +32,7 @@ from repro.frontend.api import (
 )
 from repro.frontend.client import VeloxClient
 from repro.frontend.eventloop import EventLoopServer
-from repro.frontend.pipelined import ConnectionPool, PipelinedClient
+from repro.frontend.pipelined import PipelinedClient
 from repro.frontend.resilient import (
     CircuitBreaker,
     HedgePolicy,
@@ -56,7 +57,6 @@ __all__ = [
     "VeloxServer",
     "EventLoopServer",
     "PipelinedClient",
-    "ConnectionPool",
     "ResilientClient",
     "CircuitBreaker",
     "HedgePolicy",

@@ -157,8 +157,6 @@ class EventLoopServer:
     frame-size cap are exposed for tests and tuning.
     """
 
-    kind = "eventloop"
-
     def __init__(
         self,
         velox,
@@ -183,7 +181,7 @@ class EventLoopServer:
         self._sndbuf = sndbuf
         self._engine = engine
         self.velox_client = VeloxClient(velox, engine=engine)
-        self.counters = FrontendCounters(self.kind)
+        self.counters = FrontendCounters()
         self.velox_client.frontend_status = self.counters.snapshot
         self._clock = engine.clock if engine is not None else None
 

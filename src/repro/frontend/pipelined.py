@@ -6,9 +6,10 @@ server-side adaptive batcher only ever sees batches of one from it.
 :class:`PipelinedClient` keeps a window of correlated requests in flight
 on a single socket: ``submit`` frames and sends immediately and returns
 a future; a reader thread completes futures as response frames arrive
-(out of order is fine — the correlation id routes them). A small
-:class:`ConnectionPool` spreads submissions across several pipelined
-connections for multi-connection load generators.
+(out of order is fine — the correlation id routes them). This is the
+one socket client; :class:`~repro.frontend.resilient.ResilientClient`
+holds several of them per endpoint and owns reconnects, breakers and
+every other policy.
 
 Transport failures (a refused hello, timeouts, connection loss,
 truncated frames) surface as
@@ -24,7 +25,7 @@ import threading
 import time
 from concurrent.futures import Future
 
-from repro.common.errors import OverloadedError, TransportError
+from repro.common.errors import TransportError
 from repro.frontend import wire
 from repro.frontend.api import AnalyticsApiRequest, ApiResponse
 
@@ -42,12 +43,11 @@ class PipelinedClient:
     ``timeout`` bounds connect and each blocking ``call``; ``submit``
     itself never blocks on the network beyond the socket send buffer.
 
-    ``max_inflight`` caps the pipelining window. With the default
-    ``block_on_full=True``, ``submit`` waits (up to ``timeout``) for a
-    response to free a slot — a closed-loop generator self-paces to the
-    server instead of queueing unboundedly. With ``block_on_full=False``
-    a full window raises :class:`~repro.common.errors.OverloadedError`
-    immediately, for callers that shed their own load.
+    ``max_inflight`` caps the pipelining window: at the cap ``submit``
+    waits (up to ``timeout``) for a response to free a slot — a
+    closed-loop generator self-paces to the server instead of queueing
+    unboundedly. A caller that stops waiting for a future it got from
+    ``submit`` hands it to :meth:`abandon`, which frees the slot.
     """
 
     def __init__(
@@ -56,14 +56,12 @@ class PipelinedClient:
         port: int,
         timeout: float = 10.0,
         max_inflight: int | None = None,
-        block_on_full: bool = True,
     ):
         if max_inflight is not None and max_inflight < 1:
             raise TransportError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
         self._max_inflight = max_inflight
-        self._block_on_full = block_on_full
         self._timeout = timeout
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -79,7 +77,7 @@ class PipelinedClient:
         self._next_corr = 0
         #: corr id -> future.
         self._pending: dict[int, Future] = {}
-        #: calls abandoned at timeout (window slots recovered).
+        #: window slots reclaimed by :meth:`abandon`.
         self.timed_out = 0
         self._negotiate()
         # ``timeout`` bounds connect and negotiation only. Clear it so
@@ -112,14 +110,8 @@ class PipelinedClient:
         """Enforce the ``max_inflight`` window; callers hold the lock."""
         if self._max_inflight is None:
             return
-        inflight = len(self._pending)
-        if inflight < self._max_inflight:
+        if len(self._pending) < self._max_inflight:
             return
-        if not self._block_on_full:
-            raise OverloadedError(
-                "client-pipeline",
-                f"window full ({inflight}/{self._max_inflight} in flight)",
-            )
         deadline = time.monotonic() + self._timeout
         while len(self._pending) >= self._max_inflight:
             if self._closed or self._dead:
@@ -166,18 +158,23 @@ class PipelinedClient:
         try:
             return future.result(timeout if timeout is not None else self._timeout)
         except TimeoutError as err:
-            self._abandon(future)
+            self.abandon(future)
             raise TransportError(
                 f"no response within {timeout or self._timeout}s"
             ) from err
 
-    def _abandon(self, future: Future) -> None:
-        """Release a timed-out call's window slot: drop its correlation
-        entry (the reader ignores a late response for an unknown id)."""
+    def abandon(self, future: Future) -> bool:
+        """Stop waiting for a future :meth:`submit` returned: drop its
+        correlation entry and free its window slot (the reader ignores a
+        late response for an unknown id). True when an entry was
+        removed; a future already answered or failed holds no slot, so
+        abandoning it changes nothing and returns False."""
         with self._lock:
+            if self._pending.pop(future._velox_corr, None) is None:
+                return False
             self.timed_out += 1
-            if self._pending.pop(future._velox_corr, None) is not None:
-                self._slot.notify()
+            self._slot.notify()
+            return True
 
     def analytics(
         self,
@@ -249,7 +246,7 @@ class PipelinedClient:
         """Fail every outstanding future; callers hold ``self._lock``.
 
         Also marks the connection dead: every caller has just hit a
-        fatal transport condition, so pools must stop routing onto it.
+        fatal transport condition, so nothing may route onto it again.
         """
         self._dead = True
         error = (
@@ -292,176 +289,6 @@ class PipelinedClient:
             self._reader.join(timeout=5)
 
     def __enter__(self) -> "PipelinedClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class ConnectionPool:
-    """A self-healing pool of :class:`PipelinedClient` connections.
-
-    ``submit``/``call`` round-robin across the pool, so a load generator
-    gets both pipelining depth (per connection) and connection
-    parallelism without managing sockets itself. Dead connections (a
-    restarted server, a dropped socket) are detected at pick time and
-    transparently reconnected with a doubling, capped backoff — the
-    pool never round-robins onto a closed socket forever. Reconnect
-    attempts and successes are surfaced as counters.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        size: int = 4,
-        timeout: float = 10.0,
-        reconnect_backoff: float = 0.05,
-        max_reconnect_backoff: float = 2.0,
-        max_inflight: int | None = None,
-        block_on_full: bool = True,
-        breaker=None,
-    ):
-        """``breaker`` (optional) is a
-        :class:`~repro.frontend.resilient.CircuitBreaker` guarding this
-        pool's target: every submit/call asks it for permission first
-        (raising :class:`~repro.common.errors.CircuitOpenError` while
-        open) and reports transport success/failure back to it.
-        """
-        if size < 1:
-            raise TransportError(f"pool size must be >= 1, got {size}")
-        if reconnect_backoff <= 0 or max_reconnect_backoff < reconnect_backoff:
-            raise TransportError(
-                "reconnect backoff must satisfy "
-                f"0 < initial ({reconnect_backoff}) <= "
-                f"cap ({max_reconnect_backoff})"
-            )
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._max_inflight = max_inflight
-        self._block_on_full = block_on_full
-        self._initial_backoff = reconnect_backoff
-        self._max_backoff = max_reconnect_backoff
-        self._breaker = breaker
-        self._clients: list[PipelinedClient | None] = []
-        #: per-slot current backoff and earliest next attempt (monotonic).
-        self._backoff: list[float] = [reconnect_backoff] * size
-        self._retry_at: list[float] = [0.0] * size
-        #: successful transparent reconnections across the pool's life.
-        self.reconnects = 0
-        #: reconnect attempts that failed (the server was still down).
-        self.failed_reconnects = 0
-        self._closed = False
-        # Connect eagerly but tolerate a down endpoint: a dead slot is
-        # left None (in backoff) and healed by the reconnect path on a
-        # later pick. A resilience stack (breaker/retry) sitting on top
-        # of the pool must be constructible while its target is down.
-        now = time.monotonic()
-        for index in range(size):
-            try:
-                self._clients.append(self._connect())
-            except (TransportError, OSError):
-                self.failed_reconnects += 1
-                self._clients.append(None)
-                self._retry_at[index] = now + self._backoff[index]
-                self._backoff[index] = min(
-                    self._backoff[index] * 2, self._max_backoff
-                )
-        self._lock = threading.Lock()
-        self._next = 0
-
-    def _connect(self) -> PipelinedClient:
-        return PipelinedClient(
-            self._host,
-            self._port,
-            timeout=self._timeout,
-            max_inflight=self._max_inflight,
-            block_on_full=self._block_on_full,
-        )
-
-    def __len__(self) -> int:
-        return len(self._clients)
-
-    def _reconnect_locked(self, index: int) -> PipelinedClient | None:
-        """Try to heal one dead slot; None while in backoff or still down."""
-        now = time.monotonic()
-        if now < self._retry_at[index]:
-            return None
-        try:
-            client = self._connect()
-        except Exception:
-            self.failed_reconnects += 1
-            self._retry_at[index] = now + self._backoff[index]
-            self._backoff[index] = min(
-                self._backoff[index] * 2, self._max_backoff
-            )
-            self._clients[index] = None
-            return None
-        self._clients[index] = client
-        self._backoff[index] = self._initial_backoff
-        self._retry_at[index] = 0.0
-        self.reconnects += 1
-        return client
-
-    def _pick(self) -> PipelinedClient:
-        """The next usable connection, healing dead slots on the way.
-
-        Scans at most one full round: live slots win immediately; dead
-        slots whose backoff has elapsed get one reconnect attempt. When
-        every slot is down (and backing off), the submission fails with
-        :class:`TransportError` rather than blocking.
-        """
-        with self._lock:
-            if self._closed:
-                raise TransportError("pool is closed")
-            for _ in range(len(self._clients)):
-                index = self._next % len(self._clients)
-                self._next += 1
-                client = self._clients[index]
-                if client is not None and not client.closed:
-                    return client
-                healed = self._reconnect_locked(index)
-                if healed is not None:
-                    return healed
-            raise TransportError(
-                f"all {len(self._clients)} pooled connections are down "
-                f"({self.failed_reconnects} failed reconnects so far)"
-            )
-
-    def submit(self, request) -> "Future[ApiResponse]":
-        """Submit on the next usable connection (round-robin)."""
-        if self._breaker is not None:
-            self._breaker.before_call()
-        try:
-            return self._pick().submit(request)
-        except TransportError:
-            if self._breaker is not None:
-                self._breaker.on_failure()
-            raise
-
-    def call(self, request, timeout: float | None = None) -> ApiResponse:
-        """Blocking submit + wait on the next usable connection."""
-        if self._breaker is not None:
-            self._breaker.before_call()
-        try:
-            response = self._pick().call(request, timeout=timeout)
-        except TransportError:
-            if self._breaker is not None:
-                self._breaker.on_failure()
-            raise
-        if self._breaker is not None:
-            self._breaker.on_success()
-        return response
-
-    def close(self) -> None:
-        """Close every pooled connection."""
-        self._closed = True
-        for client in self._clients:
-            if client is not None:
-                client.close()
-
-    def __enter__(self) -> "ConnectionPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

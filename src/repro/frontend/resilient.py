@@ -1,8 +1,11 @@
-"""Client-side resilience: retries, hedged reads, circuit breaking,
-and the degradation ladder.
+"""The client transport: pooled pipelined connections per endpoint,
+with retries, hedged reads, circuit breaking and the degradation ladder.
 
-:class:`ResilientClient` wraps one or more server endpoints behind the
-policy stack the chaos ablation exercises:
+:class:`ResilientClient` keeps ``pool_size``
+:class:`~repro.frontend.pipelined.PipelinedClient` connections to each
+server endpoint (reconnecting dead ones under a doubling backoff) and
+sends every request through the policy stack the chaos ablation
+exercises:
 
 * **Retry with jittered exponential backoff** (:class:`RetryPolicy`)
   for *idempotent reads only* — predict/top-k/status-class requests.
@@ -25,8 +28,14 @@ policy stack the chaos ablation exercises:
   automatic on node failure; responses arrive flagged ``stale``) →
   typed :class:`~repro.common.errors.DegradedError`.
 
-Everything time-like is injectable and every random draw comes from a
-seeded generator, so tests drive the whole stack deterministically.
+A plain round-robin pool is this class with the policies turned off:
+``RetryPolicy(max_attempts=1)``, ``HedgePolicy(max_hedges=0)``,
+``degrade=False`` and a ``breaker_threshold`` no run reaches.
+
+Every random draw comes from a seeded generator. Of the timers only the
+breaker's is injectable (``CircuitBreaker(time_source=)``); ``call``,
+``_attempt`` and the reconnect backoff read ``time.monotonic`` and
+``time.sleep`` directly.
 """
 
 from __future__ import annotations
@@ -34,8 +43,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -52,11 +62,18 @@ from repro.frontend.api import (
     PredictApiRequest,
     TopKApiRequest,
 )
-from repro.frontend.pipelined import ConnectionPool
+from repro.frontend.pipelined import PipelinedClient
 from repro.metrics.resilience import ResilienceMetrics
 
 #: Error-envelope prefixes that mark a *retryable* server-side failure.
 RETRYABLE_ERRORS = ("OverloadedError", "DeadlineExceededError")
+
+#: A dead connection's first reconnect wait and the cap it doubles to (s).
+RECONNECT_BACKOFF = 0.05
+MAX_RECONNECT_BACKOFF = 2.0
+
+#: The least one attempt is given, however little of the call's budget is left (s).
+MIN_ATTEMPT_BUDGET = 0.05
 
 
 @dataclass(frozen=True)
@@ -302,6 +319,100 @@ class HedgePolicy:
         return min(max(delay, 1e-4), self.max_delay)
 
 
+class _Endpoint:
+    """One server address: its breaker and ``size`` pipelined connections.
+
+    Connections are opened eagerly, but a down endpoint is tolerated: a
+    dead slot stays ``None`` and is healed on a later :meth:`submit`, so
+    a client can be built while its target is down. Sends round-robin
+    over the live slots; a dead one (a restarted server, a dropped
+    socket) is noticed at pick time and reconnected under a doubling,
+    capped backoff, so a tight call loop is never a tight connect loop.
+    """
+
+    def __init__(self, connect, size: int, breaker: CircuitBreaker):
+        self.breaker = breaker
+        self._connect = connect  # () -> a new PipelinedClient, or raises
+        self.clients: list[PipelinedClient | None] = [None] * size
+        #: per-slot current backoff and earliest next attempt (monotonic).
+        self._backoff = [RECONNECT_BACKOFF] * size
+        self._retry_at = [0.0] * size
+        #: dead slots healed, and connect attempts that found the server down.
+        self.reconnects = 0
+        self.failed_reconnects = 0
+        self._closed = False
+        self._lock = threading.Lock()
+        self._next = 0
+        for index in range(size):
+            self._open_slot(index)
+
+    def _open_slot(self, index: int) -> PipelinedClient | None:
+        """Open slot ``index``; on failure push its next attempt out."""
+        try:
+            client = self._connect()
+        except (TransportError, OSError):
+            self.failed_reconnects += 1
+            self.clients[index] = None
+            self._retry_at[index] = time.monotonic() + self._backoff[index]
+            self._backoff[index] = min(
+                self._backoff[index] * 2, MAX_RECONNECT_BACKOFF
+            )
+            return None
+        self.clients[index] = client
+        self._backoff[index] = RECONNECT_BACKOFF
+        self._retry_at[index] = 0.0
+        return client
+
+    def _pick(self) -> PipelinedClient:
+        """The next usable connection, healing dead slots on the way.
+
+        Scans at most one full round: a live slot wins at once; a dead
+        slot whose backoff has elapsed gets one reconnect attempt. With
+        every slot down and backing off the send fails rather than waits.
+        """
+        with self._lock:
+            if self._closed:
+                raise TransportError("client is closed")
+            for _ in range(len(self.clients)):
+                index = self._next % len(self.clients)
+                self._next += 1
+                client = self.clients[index]
+                if client is not None and not client.closed:
+                    return client
+                if time.monotonic() >= self._retry_at[index]:
+                    client = self._open_slot(index)
+                    if client is not None:
+                        self.reconnects += 1
+                        return client
+            raise TransportError(
+                f"all {len(self.clients)} connections to "
+                f"{self.breaker.target} are down "
+                f"({self.failed_reconnects} failed reconnects so far)"
+            )
+
+    def submit(self, request) -> tuple[PipelinedClient, Future]:
+        """Breaker-gated send on the next usable connection.
+
+        Raises :class:`CircuitOpenError` while the breaker refuses, and
+        reports a send that failed before it had a future to the breaker
+        here; whoever gets the future settles it.
+        """
+        self.breaker.before_call()
+        try:
+            client = self._pick()
+            return client, client.submit(request)
+        except TransportError:
+            self.breaker.on_failure()
+            raise
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+        for client in self.clients:
+            if client is not None:
+                client.close()
+
+
 class ResilientClient:
     """Retries, hedges, breaks circuits, and degrades — in that order.
 
@@ -311,10 +422,10 @@ class ResilientClient:
         response = client.predict(uid=7, item=42, deadline=0.05)
         client.close()
 
-    ``endpoints`` is a list of ``(host, port)`` targets, each fronted by
-    its own :class:`~repro.frontend.pipelined.ConnectionPool` and
-    :class:`CircuitBreaker`. Reads rotate across healthy endpoints;
-    hedges prefer a *different* endpoint than the primary attempt.
+    ``endpoints`` is a list of ``(host, port)`` targets, each with its
+    own :class:`CircuitBreaker` and ``pool_size`` pipelined connections.
+    Reads rotate across healthy endpoints; hedges prefer a *different*
+    endpoint than the primary attempt.
 
     The full read path: circuit-gated call → hedge if slow → retry
     (budget permitting, idempotent only) with jittered backoff on a
@@ -340,6 +451,8 @@ class ResilientClient:
         targets = list(endpoints)
         if not targets:
             raise ValidationError("ResilientClient needs at least one endpoint")
+        if pool_size < 1:
+            raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
         self.metrics = ResilienceMetrics("client")
         self.retry = retry if retry is not None else RetryPolicy()
         self.budget = budget if budget is not None else RetryBudget()
@@ -350,8 +463,7 @@ class ResilientClient:
         self._rng_lock = threading.Lock()
         self._pick_lock = threading.Lock()
         self._next_endpoint = 0
-        self._breakers: list[CircuitBreaker] = []
-        self._pools: list[ConnectionPool] = []
+        self._endpoints: list[_Endpoint] = []
         try:
             for host, port in targets:
                 breaker = CircuitBreaker(
@@ -360,34 +472,28 @@ class ResilientClient:
                     reset_timeout=breaker_reset,
                     metrics=self.metrics,
                 )
-                self._breakers.append(breaker)
-                self._pools.append(
-                    ConnectionPool(
-                        host,
-                        port,
-                        size=pool_size,
-                        timeout=timeout,
-                        breaker=breaker,
-                        max_inflight=max_inflight,
-                    )
+                connect = partial(
+                    PipelinedClient,
+                    host,
+                    port,
+                    timeout=timeout,
+                    max_inflight=max_inflight,
                 )
+                self._endpoints.append(_Endpoint(connect, pool_size, breaker))
         except Exception:
             self.close()
             raise
 
     # -- endpoint selection ---------------------------------------------------
 
-    def _pick_pools(self) -> list[tuple[ConnectionPool, CircuitBreaker]]:
-        """Every pool, healthy breakers first, starting round-robin."""
+    def _pick(self) -> list[_Endpoint]:
+        """Every endpoint, healthy breakers first, starting round-robin."""
+        count = len(self._endpoints)
         with self._pick_lock:
             start = self._next_endpoint
-            self._next_endpoint = (self._next_endpoint + 1) % len(self._pools)
-        order = [
-            (self._pools[(start + i) % len(self._pools)],
-             self._breakers[(start + i) % len(self._pools)])
-            for i in range(len(self._pools))
-        ]
-        order.sort(key=lambda pair: pair[1].state == OPEN)  # open ones last
+            self._next_endpoint = (start + 1) % count
+        order = [self._endpoints[(start + i) % count] for i in range(count)]
+        order.sort(key=lambda endpoint: endpoint.breaker.state == OPEN)
         return order
 
     def _uniform(self) -> float:
@@ -424,11 +530,9 @@ class ResilientClient:
                     break
             try:
                 response = self._attempt(
-                    request,
-                    hedge=idempotent,
-                    remaining=max(0.05, deadline_wall - time.monotonic()),
+                    request, self._pick(), idempotent, deadline_wall
                 )
-            except (TransportError, CircuitOpenError, OverloadedError) as err:
+            except (TransportError, CircuitOpenError) as err:
                 last_error = err
                 continue
             if attempt == 0:
@@ -444,7 +548,7 @@ class ResilientClient:
                 return response
             last_error = OverloadedError("resilient-client", response.error)
         if idempotent and self.degrade:
-            degraded = self._degraded_call(request)
+            degraded = self._degraded_call(request, deadline_wall)
             if degraded is not None:
                 return degraded
         self.metrics.on_degraded("error")
@@ -454,107 +558,103 @@ class ResilientClient:
             f"{f': {last_error}' if last_error else ''}"
         )
 
-    def _attempt(self, request, hedge: bool, remaining: float) -> ApiResponse:
-        """One (possibly hedged) send across the endpoint set.
+    def _attempt(
+        self, request, order: list[_Endpoint], hedge: bool, deadline_wall: float
+    ) -> ApiResponse:
+        """One (possibly hedged) send, settled and released here.
 
-        The pool reports *submit-time* transport errors to its breaker
-        itself; failures that surface later through a future are
-        reported here, so a node that accepts sends but never answers
-        still trips its breaker.
+        The primary goes to ``order[0]``, each hedge to the endpoint
+        after the last one used. The attempt has until ``deadline_wall``
+        and never less than :data:`MIN_ATTEMPT_BUDGET`. Every send that
+        got a future is settled in this method and nowhere else: an
+        answer or a transport failure is reported to its endpoint's
+        breaker (so a node that accepts sends and never answers still
+        trips it), and whatever is unanswered when the attempt ends —
+        out of time, or out-run by a duplicate — is abandoned, which
+        frees its window slot and counts one ``metrics.timed_out``.
         """
-        order = self._pick_pools()
-        primary_pool, primary_breaker = order[0]
         start = time.monotonic()
-        primary = primary_pool.submit(request)
-        meta = {primary: (False, primary_breaker)}  # future -> (is_hedge, breaker)
+        remaining = max(MIN_ATTEMPT_BUDGET, deadline_wall - start)
+        client, primary = order[0].submit(request)
+        #: future -> (endpoint, connection) of every send not settled yet.
+        sends = {primary: (order[0], client)}
         hedge_delay = self.hedge.hedge_delay() if hedge else None
         hedges_left = self.hedge.max_hedges if hedge_delay is not None else 0
         next_source = 1  # hedges prefer a different endpoint than the primary
-        futures = list(meta)
-        while True:
-            wait_left = remaining - (time.monotonic() - start)
-            if wait_left <= 0:
-                for future in futures:
-                    meta[future][1].on_failure()
-                raise TransportError(
-                    f"no response within {remaining:.3f}s (hedged: "
-                    f"{len(meta) > 1})"
+        errors = []
+        try:
+            while sends:
+                wait_left = remaining - (time.monotonic() - start)
+                if wait_left <= 0:
+                    for endpoint, _ in sends.values():
+                        endpoint.breaker.on_failure()
+                    raise TransportError(
+                        f"no response within {remaining:.3f}s (hedged: "
+                        f"{len(sends) > 1})"
+                    )
+                # While hedges remain, wait only one hedge_delay at a
+                # time: every expiry launches one more duplicate send, so
+                # a lost response costs a tail percentile, not the whole
+                # budget.
+                patience = wait_left
+                if hedges_left > 0 and hedge_delay < wait_left:
+                    patience = hedge_delay
+                done, _ = wait(
+                    sends, timeout=patience, return_when=FIRST_COMPLETED
                 )
-            # While hedges remain, wait only one hedge_delay at a time:
-            # every expiry launches one more duplicate send, so a lost
-            # response costs a tail percentile, not the whole budget.
-            patience = wait_left
-            if hedges_left > 0 and hedge_delay < wait_left:
-                patience = hedge_delay
-            done, pending = wait(
-                futures, timeout=patience, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                if hedges_left > 0:
+                if not done and hedges_left > 0:
                     hedges_left -= 1
-                    hedge_pool, hedge_breaker = order[next_source % len(order)]
+                    target = order[next_source % len(order)]
                     next_source += 1
                     try:
-                        hedged = hedge_pool.submit(request)
-                        meta[hedged] = (True, hedge_breaker)
-                        futures = list(pending) + [hedged]
-                        self.metrics.on_hedge_launched()
-                    except (TransportError, CircuitOpenError, OverloadedError):
-                        pass  # hedge target down; earlier sends still run
-                continue
-            winner: ApiResponse | None = None
-            won_hedge = False
-            errors = []
-            for future in done:
-                is_hedge, breaker = meta[future]
-                try:
-                    winner = future.result()
-                    breaker.on_success()
-                    won_hedge = is_hedge
-                    break
-                except Exception as err:
-                    breaker.on_failure()
-                    errors.append(err)
-            if winner is not None:
-                self.hedge.observe(time.monotonic() - start)
-                if won_hedge:
-                    self.metrics.on_hedge_won()
-                return winner
-            futures = list(pending)
-            if not futures:
-                raise errors[0] if errors else TransportError(
-                    "every attempt failed"
-                )
+                        client, hedged = target.submit(request)
+                    except (TransportError, CircuitOpenError):
+                        continue  # hedge target down; earlier sends still run
+                    sends[hedged] = (target, client)
+                    self.metrics.on_hedge_launched()
+                winner: ApiResponse | None = None
+                for future in done:
+                    endpoint, _ = sends.pop(future)
+                    try:
+                        response = future.result()
+                    except Exception as err:
+                        endpoint.breaker.on_failure()
+                        errors.append(err)
+                        continue
+                    endpoint.breaker.on_success()
+                    if winner is None:
+                        winner = response
+                        if future is not primary:
+                            self.metrics.on_hedge_won()
+                if winner is not None:
+                    self.hedge.observe(time.monotonic() - start)
+                    return winner
+            raise errors[0]
+        finally:
+            for future, (_, client) in sends.items():
+                if client.abandon(future):
+                    self.metrics.on_timed_out()
 
-    def _degraded_call(self, request) -> ApiResponse | None:
-        """The cache-only rung: re-send with the ``degraded`` wire flag.
+    def _degraded_call(
+        self, request, deadline_wall: float
+    ) -> ApiResponse | None:
+        """The cache-only rung: re-send with the ``degraded`` wire flag,
+        to each endpoint in turn, inside what is left of the call's
+        budget.
 
         Returns ``None`` when the request type has no degraded form or
         the transport is entirely gone (the caller falls through to the
         typed error).
         """
-        if isinstance(request, PredictApiRequest):
-            fallback = PredictApiRequest(
-                uid=request.uid,
-                item=request.item,
-                model=request.model,
-                degraded=True,
-            )
-        elif isinstance(request, TopKApiRequest):
-            fallback = TopKApiRequest(
-                uid=request.uid,
-                items=request.items,
-                k=request.k,
-                model=request.model,
-                policy=request.policy,
-                degraded=True,
-            )
-        else:
+        if not isinstance(request, (PredictApiRequest, TopKApiRequest)):
             return None
-        for pool, breaker in self._pick_pools():
+        fallback = replace(request, deadline=None, degraded=True)
+        for endpoint in self._pick():
             try:
-                response = pool.call(fallback, timeout=self._timeout)
-            except (TransportError, CircuitOpenError, OverloadedError):
+                response = self._attempt(
+                    fallback, [endpoint], False, deadline_wall
+                )
+            except (TransportError, CircuitOpenError):
                 continue
             if response.ok:
                 self.metrics.on_degraded("cached")
@@ -607,15 +707,32 @@ class ResilientClient:
 
     def breaker_states(self) -> dict[str, str]:
         """Current breaker state per endpoint."""
-        return {b.target: b.state for b in self._breakers}
+        return {e.breaker.target: e.breaker.state for e in self._endpoints}
+
+    @property
+    def reconnects(self) -> int:
+        """Dead connections healed, over every endpoint."""
+        return sum(e.reconnects for e in self._endpoints)
+
+    @property
+    def failed_reconnects(self) -> int:
+        """Connect attempts that found an endpoint down."""
+        return sum(e.failed_reconnects for e in self._endpoints)
+
+    @property
+    def in_flight(self) -> int:
+        """Sends still holding a window slot, over every connection."""
+        return sum(
+            client.in_flight
+            for endpoint in self._endpoints
+            for client in endpoint.clients
+            if client is not None
+        )
 
     def close(self) -> None:
-        """Close every pooled connection."""
-        for pool in self._pools:
-            try:
-                pool.close()
-            except Exception:
-                pass
+        """Close every connection; later calls are refused."""
+        for endpoint in self._endpoints:
+            endpoint.close()
 
     def __enter__(self) -> "ResilientClient":
         return self

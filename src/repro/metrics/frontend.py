@@ -24,8 +24,7 @@ class FrontendCounters:
     plain dict safe to serialize over the wire codec.
     """
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self):
         self._lock = threading.Lock()
         # gauges
         self.open_connections = 0
@@ -102,7 +101,6 @@ class FrontendCounters:
         """Point-in-time copy of every counter (plain, serializable values)."""
         with self._lock:
             return {
-                "kind": self.kind,
                 "open_connections": self.open_connections,
                 "total_connections": self.total_connections,
                 "bytes_in": self.bytes_in,

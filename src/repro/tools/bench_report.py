@@ -34,7 +34,6 @@ KNOWN_EXPERIMENTS = [
     ("ablation_topk_engines", "Ablation — efficient top-K engines"),
     ("ablation_model_selection", "Ablation — dynamic model selection"),
     ("ablation_sampled_retrain", "Ablation — sampled retraining"),
-    ("ablation_wire", "Ablation — wire transport: binary framed pipelining"),
     ("ablation_batch", "Ablation — batch tier: fork executor + vectorized ALS"),
     (
         "ablation_replication",

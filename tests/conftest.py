@@ -3,6 +3,9 @@ deployed Velox instance, all session-scoped where safe for speed."""
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -81,3 +84,52 @@ def batch_ctx():
 @pytest.fixture
 def rng():
     return np.random.default_rng(123)
+
+
+class SilentServer:
+    """Accepts connections, echoes each hello, then swallows every frame
+    without ever responding — a black hole for in-flight tests."""
+
+    def __init__(self):
+        self._listen = socket.create_server(("127.0.0.1", 0))
+        self.host, self.port = self._listen.getsockname()
+        self._conns: list[socket.socket] = []
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listen.accept()
+            except OSError:
+                return
+            self._conns.append(conn)
+            threading.Thread(
+                target=self._swallow, args=(conn,), daemon=True
+            ).start()
+
+    def _swallow(self, conn: socket.socket) -> None:
+        try:
+            hello = b""
+            while not hello.endswith(b"\n"):
+                chunk = conn.recv(1)
+                if not chunk:
+                    return
+                hello += chunk
+            conn.sendall(hello)  # echo: negotiation succeeds
+            while conn.recv(65536):
+                pass
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        for sock in (self._listen, *self._conns):
+            try:
+                sock.close()
+            except OSError:
+                pass
+
+    def __enter__(self) -> "SilentServer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

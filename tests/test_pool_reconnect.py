@@ -1,10 +1,10 @@
-"""ConnectionPool self-healing: dead-connection detection and reconnect.
+"""Pooled-connection self-healing: dead-connection detection and reconnect.
 
-A server restart kills every pooled socket. The pool must (a) notice at
-pick time rather than round-robining onto dead sockets forever, (b) fail
-fast with TransportError while the server is down, and (c) transparently
-reconnect — with capped backoff — once it returns, surfacing the
-reconnect counts.
+A server restart kills every pooled socket. The client must (a) notice
+at pick time rather than round-robining onto dead sockets forever, (b)
+fail fast while the server is down, and (c) transparently reconnect —
+with capped backoff — once it returns, surfacing the reconnect counts.
+The pool here is :class:`ResilientClient` with its policies turned off.
 """
 
 from __future__ import annotations
@@ -13,9 +13,28 @@ import time
 
 import pytest
 
-from repro.common.errors import TransportError
-from repro.frontend import PredictApiRequest, VeloxServer
-from repro.frontend.pipelined import ConnectionPool
+from repro.common.errors import DegradedError, TransportError, ValidationError
+from repro.frontend import (
+    HedgePolicy,
+    PipelinedClient,
+    PredictApiRequest,
+    ResilientClient,
+    RetryPolicy,
+    VeloxServer,
+    resilient,
+)
+
+
+def plain_pool(host, port, size: int) -> ResilientClient:
+    """One endpoint, ``size`` sockets, every policy off."""
+    return ResilientClient(
+        [(host, port)],
+        pool_size=size,
+        retry=RetryPolicy(max_attempts=1),
+        hedge=HedgePolicy(max_hedges=0),
+        breaker_threshold=1_000_000,
+        degrade=False,
+    )
 
 
 def wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -34,7 +53,7 @@ def call_until_healed(pool, request, timeout: float = 5.0):
     while time.time() < deadline:
         try:
             return pool.call(request)
-        except TransportError as err:
+        except DegradedError as err:
             last_error = err
             time.sleep(0.05)
     raise AssertionError(f"pool never healed: {last_error}")
@@ -43,27 +62,18 @@ def call_until_healed(pool, request, timeout: float = 5.0):
 class TestPoolValidation:
     def test_size_must_be_positive(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
-            with pytest.raises(TransportError):
-                ConnectionPool(server.host, server.port, size=0)
-
-    def test_backoff_must_be_ordered(self, deployed_velox):
-        with VeloxServer(deployed_velox) as server:
-            with pytest.raises(TransportError):
-                ConnectionPool(
-                    server.host,
-                    server.port,
-                    reconnect_backoff=1.0,
-                    max_reconnect_backoff=0.5,
-                )
+            with pytest.raises(ValidationError):
+                plain_pool(server.host, server.port, size=0)
 
 
 class TestReconnect:
-    def test_pool_survives_a_server_restart(self, deployed_velox):
+    def test_pool_survives_a_server_restart(self, deployed_velox, monkeypatch):
+        monkeypatch.setattr(resilient, "RECONNECT_BACKOFF", 0.02)
         request = PredictApiRequest(uid=1, item=3)
         expected = deployed_velox.service.predict("songs", 1, 3).score
         server = VeloxServer(deployed_velox).start()
         host, port = server.host, server.port
-        pool = ConnectionPool(host, port, size=2, reconnect_backoff=0.02)
+        pool = plain_pool(host, port, size=2)
         try:
             first = pool.call(request)
             assert first.ok
@@ -92,52 +102,47 @@ class TestReconnect:
             server.stop()
 
     def test_client_marks_itself_dead_on_transport_failure(self, deployed_velox):
-        """The pool's liveness check: a client whose socket died reports
-        closed=True even though close() was never called."""
+        """The liveness check the pool picks by: a client whose socket
+        died reports closed=True even though close() was never called."""
         server = VeloxServer(deployed_velox).start()
-        pool = ConnectionPool(server.host, server.port, size=1)
+        client = PipelinedClient(server.host, server.port)
         try:
-            client = pool._clients[0]
             assert not client.closed
             server.stop()
             assert wait_until(lambda: client.closed, timeout=5.0)
             with pytest.raises(TransportError):
                 client.submit(PredictApiRequest(uid=1, item=3))
         finally:
-            pool.close()
+            client.close()
             server.stop()
 
     def test_closed_pool_rejects_submissions(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
-            pool = ConnectionPool(server.host, server.port, size=1)
+            pool = plain_pool(server.host, server.port, size=1)
             pool.close()
-            with pytest.raises(TransportError):
+            with pytest.raises(DegradedError, match="client is closed"):
                 pool.call(PredictApiRequest(uid=1, item=3))
 
-    def test_backoff_caps_reconnect_attempts(self, deployed_velox):
+    def test_backoff_caps_reconnect_attempts(self, deployed_velox, monkeypatch):
         """While the server stays down, each failed attempt pushes the
         slot's next retry out (doubling, capped) — a tight call loop must
         not translate into a tight connect loop."""
+        monkeypatch.setattr(resilient, "RECONNECT_BACKOFF", 0.2)
+        monkeypatch.setattr(resilient, "MAX_RECONNECT_BACKOFF", 1.0)
         server = VeloxServer(deployed_velox).start()
-        pool = ConnectionPool(
-            server.host,
-            server.port,
-            size=1,
-            reconnect_backoff=0.2,
-            max_reconnect_backoff=1.0,
-        )
+        pool = plain_pool(server.host, server.port, size=1)
         try:
             server.stop()
             assert wait_until(
                 lambda: _call_fails(pool, PredictApiRequest(uid=1, item=3)),
                 timeout=5.0,
             )
-            pool._retry_at[0] = 0.0  # force one attempt now
-            with pytest.raises(TransportError):
+            pool._endpoints[0]._retry_at[0] = 0.0  # force one attempt now
+            with pytest.raises(DegradedError):
                 pool.call(PredictApiRequest(uid=1, item=3))
             attempts = pool.failed_reconnects
             for _ in range(20):  # hammering within the backoff window...
-                with pytest.raises(TransportError):
+                with pytest.raises(DegradedError):
                     pool.call(PredictApiRequest(uid=1, item=3))
             # ...performs no (or at most one racy) further connect attempt.
             assert pool.failed_reconnects <= attempts + 1
@@ -149,5 +154,5 @@ def _call_fails(pool, request) -> bool:
     try:
         pool.call(request, timeout=1.0)
         return False
-    except TransportError:
+    except DegradedError:
         return True

@@ -1,7 +1,7 @@
 """Resilience policies: retry backoff + budget, the circuit breaker
 state machine, hedging triggers, end-to-end deadline propagation and
-pre-compute shedding, the degradation ladder, and the pipelined
-client's timed-out slot recovery."""
+pre-compute shedding, the degradation ladder, and the release of
+every send nobody waits for any more (timed out, or out-run by a hedge)."""
 
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ from repro.frontend import (
 )
 from repro.metrics.resilience import ResilienceMetrics
 from repro.serving import ServingConfig
+
+from tests.conftest import SilentServer
 
 
 class FakeTime:
@@ -309,49 +311,14 @@ class TestDegradedLadderRung:
         assert response.error.startswith("DegradedError")
 
 
-class _SilentServer:
-    """Accepts one connection, echoes its hello, then swallows requests."""
-
-    def __init__(self):
-        self._listen = socket.create_server(("127.0.0.1", 0))
-        self.port = self._listen.getsockname()[1]
-        self._conn: socket.socket | None = None
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        conn, _ = self._listen.accept()
-        self._conn = conn
-        hello = b""
-        while not hello.endswith(b"\n"):
-            hello += conn.recv(1)
-        conn.sendall(hello)  # echo: negotiation succeeds
-        # Drain and ignore whatever arrives.
-        try:
-            while conn.recv(4096):
-                pass
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        for sock in (self._conn, self._listen):
-            try:
-                if sock is not None:
-                    sock.close()
-            except OSError:
-                pass
-
-
 class TestTimedOutSlotRecovery:
     def test_binary_timeout_releases_window_slot(self):
-        server = _SilentServer()
-        try:
+        with SilentServer() as server:
             client = PipelinedClient(
                 "127.0.0.1",
                 server.port,
                 timeout=0.2,
                 max_inflight=1,
-                block_on_full=False,
             )
             try:
                 with pytest.raises(TransportError, match="no response"):
@@ -359,7 +326,7 @@ class TestTimedOutSlotRecovery:
                 assert client.timed_out == 1
                 assert client.in_flight == 0
                 # The window recovered: this call must reserve the slot
-                # cleanly — not raise OverloadedError (the leaked-slot
+                # cleanly — not wait on a full window (the leaked-slot
                 # failure mode) — and time out on its own terms.
                 with pytest.raises(TransportError, match="no response"):
                     client.call(PredictApiRequest(uid=1, item=3))
@@ -367,8 +334,50 @@ class TestTimedOutSlotRecovery:
                 assert client.in_flight == 0
             finally:
                 client.close()
-        finally:
-            server.close()
+
+    def test_abandon_counts_only_a_slot_it_reclaimed(self, deployed_velox):
+        with VeloxServer(deployed_velox) as server:
+            with PipelinedClient(server.host, server.port) as client:
+                future = client.submit(PredictApiRequest(uid=1, item=2))
+                assert future.result(timeout=5.0).ok
+                assert client.abandon(future) is False  # already answered
+                assert client.timed_out == 0
+
+    def test_no_send_outlives_its_attempt(self):
+        """Every attempt that times out gives its window slot back: the
+        fifth call against a silent endpoint with ``max_inflight=4``
+        times out like the first, not on a window of leaked entries."""
+        with SilentServer() as server, ResilientClient(
+            [("127.0.0.1", server.port)],
+            pool_size=1,
+            timeout=0.1,
+            retry=RetryPolicy(max_attempts=1),
+            breaker_threshold=100,  # six timeouts must not open it
+            degrade=False,
+            max_inflight=4,
+        ) as client:
+            for item in range(6):
+                with pytest.raises(DegradedError, match="no response within"):
+                    client.predict(uid=1, item=item)
+            assert client.in_flight == 0
+            assert client.metrics.timed_out == 6
+
+    def test_degraded_rung_spends_the_callers_budget(self):
+        """``predict(timeout=0.1)`` on a client built with ``timeout=2.0``
+        gives the cache-only rung what is left of 0.1 s (floored at
+        50 ms), not another 2 s."""
+        with SilentServer() as server, ResilientClient(
+            [("127.0.0.1", server.port)],
+            timeout=2.0,
+            retry=RetryPolicy(max_attempts=1),
+        ) as client:
+            start = time.monotonic()
+            with pytest.raises(DegradedError):
+                client.predict(uid=1, item=1, timeout=0.1)
+            assert time.monotonic() - start < 0.5
+            # The fresh attempt and the rung's, both released.
+            assert client.metrics.timed_out == 2
+            assert client.in_flight == 0
 
 
 class TestResilientClient:
@@ -520,4 +529,65 @@ class TestResilientClient:
                 with chaos.installed(injector):
                     response = client.predict(uid=3, item=5)
                 assert response.ok
+                # The send the race's winner out-ran holds no slot.
+                assert client.in_flight == 0
         assert client.metrics.hedges_launched >= 1
+        assert client.metrics.timed_out >= 1
+
+
+def test_concurrent_callers_share_the_connections(deployed_velox, engine):
+    """Eight threads on two sockets with a four-deep window: every call
+    is answered with its own item and no slot stays held."""
+    import sys
+
+    items = range(40)
+    failures: list = []
+
+    def worker(client, uid):
+        try:
+            for item in items:
+                response = client.predict(uid=uid, item=item)
+                if not response.ok or response.payload["item"] != item:
+                    failures.append((uid, item, response))
+        except Exception as err:  # surfaced by the assert below
+            failures.append((uid, err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with VeloxServer(deployed_velox, engine=engine) as server:
+            with ResilientClient(
+                [(server.host, server.port)], pool_size=2, max_inflight=4
+            ) as client:
+                threads = [
+                    threading.Thread(target=worker, args=(client, uid))
+                    for uid in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+                assert client.in_flight == 0
+                sends = sum(
+                    c._next_corr for c in client._endpoints[0].clients
+                )
+                assert sends == (
+                    8 * len(items)
+                    + client.metrics.hedges_launched
+                    + client.metrics.retries
+                )
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_client_transport():
+    """There is one pooled transport, and a full window has one meaning."""
+    import repro.frontend
+    from repro.frontend import pipelined
+
+    assert not hasattr(repro.frontend, "ConnectionPool")
+    assert not hasattr(pipelined, "ConnectionPool")
+    with pytest.raises(TypeError):
+        PipelinedClient("127.0.0.1", 1, block_on_full=False)

@@ -16,11 +16,11 @@ from repro.common.errors import TransportError, ValidationError
 from repro.frontend import (
     AnalyticsApiRequest,
     ApiResponse,
-    ConnectionPool,
     HealthApiRequest,
     ObserveApiRequest,
     PipelinedClient,
     PredictApiRequest,
+    ResilientClient,
     RetrainApiRequest,
     StatusApiRequest,
     TopKApiRequest,
@@ -407,14 +407,20 @@ class TestPipelinedClient:
                 assert response.ok  # the connection survived
 
     def test_connection_pool_round_robins(self, deployed_velox):
+        """Nine sends over ``pool_size=3`` open three sockets and put
+        three on each."""
         with VeloxServer(deployed_velox) as server:
-            with ConnectionPool(server.host, server.port, size=3) as pool:
-                assert len(pool) == 3
-                futures = [
-                    pool.submit(PredictApiRequest(uid=1, item=i))
-                    for i in range(9)
-                ]
-                assert all(f.result(10).ok for f in futures)
+            with ResilientClient(
+                [(server.host, server.port)], pool_size=3
+            ) as client:
+                assert all(
+                    client.predict(uid=1, item=i).ok for i in range(9)
+                )
+                sockets = client._endpoints[0].clients
+                assert [c._next_corr for c in sockets] == [3, 3, 3]
+                counters = server.counters.snapshot()
+                assert counters["total_connections"] == 3
+                assert counters["frames_in"] == 9
 
     def test_close_fails_pending_futures(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
