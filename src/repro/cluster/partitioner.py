@@ -11,6 +11,8 @@ from __future__ import annotations
 import bisect
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.common.errors import PartitionError
 from repro.common.rng import stable_hash
 
@@ -28,6 +30,19 @@ class Partitioner(ABC):
     @abstractmethod
     def partition(self, key: object) -> int:
         """The partition index owning ``key`` (in ``[0, num_partitions)``)."""
+
+    def partition_many(self, keys) -> np.ndarray:
+        """The partition index of every key, as an ``intp`` array.
+
+        The base class asks :meth:`partition` once per key (an ndarray's
+        elements are passed as Python scalars); subclasses with a
+        columnar form override it.
+        """
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        return np.fromiter(
+            map(self.partition, keys), dtype=np.intp, count=len(keys)
+        )
 
     def __call__(self, key: object) -> int:
         return self.partition(key)
@@ -61,6 +76,15 @@ class ModuloPartitioner(Partitioner):
                 f"ModuloPartitioner requires integer keys, got {key!r}"
             )
         return key % self.num_partitions
+
+    def partition_many(self, keys) -> np.ndarray:
+        """``keys % num_partitions`` in one numpy op."""
+        keys = np.asarray(keys)
+        if len(keys) and keys.dtype.kind not in "iu":
+            raise PartitionError(
+                f"ModuloPartitioner requires integer keys, got dtype {keys.dtype}"
+            )
+        return (keys % self.num_partitions).astype(np.intp, copy=False)
 
 
 class RangePartitioner(Partitioner):

@@ -132,9 +132,7 @@ def load_deployment(directory: str | Path):
         current = velox.registry.get(name)
         averager = UserWeightAverager(current.dimension)
         table = cluster.store.table(f"user_state:{name}")
-        ids, matrix = table.export_weight_matrix().arrays()
-        for uid, row in zip(ids.tolist(), matrix):
-            averager.update(uid, row)
+        averager.update_many(*table.export_weight_matrix().arrays())
         velox.manager.averagers[name] = averager
 
     velox._default_model = meta.get("default_model")

@@ -265,8 +265,7 @@ class ModelManager:
                     f"got {matrix.shape}"
                 )
             table.load_weight_rows(ids, matrix)
-            for uid, row in zip(ids.tolist(), matrix):
-                averager.update(uid, row)
+            averager.update_many(ids, matrix)
             return
         for uid, weights in user_weights.items():
             state = self._make_state(model, np.asarray(weights, float))

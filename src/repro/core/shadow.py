@@ -160,14 +160,15 @@ class ShadowEvaluator:
         with manager._write_lock:
             self.velox.registry.publish(candidate, note=note)
             if self.candidate_weights:
-                table = manager.user_state_table(self.model_name)
                 from repro.core.bootstrap import UserWeightAverager
 
                 averager = UserWeightAverager(candidate.dimension)
-                for uid, weights in self.candidate_weights.items():
-                    state = manager._make_state(candidate, np.asarray(weights, float))
-                    table.put(uid, state)
-                    averager.update(uid, state.weights)
+                manager._install_user_weights(
+                    candidate,
+                    manager.user_state_table(self.model_name),
+                    averager,
+                    self.candidate_weights,
+                )
                 manager.averagers[self.model_name] = averager
             self.velox.service.invalidate_model(self.model_name)
             manager.health[self.model_name].reset_after_retrain()

@@ -259,6 +259,13 @@ class CircuitBreaker:
                 self._opened_at = self._now()
                 self._transition_locked(OPEN)
 
+    def on_abandon(self) -> None:
+        """A send ended with no verdict (out-run by a duplicate): free
+        the half-open probe slot so the next call probes again."""
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._probe_inflight = False
+
 
 class HedgePolicy:
     """Latency-percentile hedging trigger.
@@ -571,7 +578,8 @@ class ResilientClient:
         breaker (so a node that accepts sends and never answers still
         trips it), and whatever is unanswered when the attempt ends —
         out of time, or out-run by a duplicate — is abandoned, which
-        frees its window slot and counts one ``metrics.timed_out``.
+        frees its window slot and its breaker's half-open probe slot and
+        counts one ``metrics.timed_out``.
         """
         start = time.monotonic()
         remaining = max(MIN_ATTEMPT_BUDGET, deadline_wall - start)
@@ -631,7 +639,8 @@ class ResilientClient:
                     return winner
             raise errors[0]
         finally:
-            for future, (_, client) in sends.items():
+            for future, (endpoint, client) in sends.items():
+                endpoint.breaker.on_abandon()
                 if client.abandon(future):
                     self.metrics.on_timed_out()
 

@@ -28,6 +28,7 @@ import copy
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -295,6 +296,15 @@ class SlabStorage:
 
     # -- bulk ops ------------------------------------------------------
 
+    def _positions(self, keys: list) -> np.ndarray:
+        """The row of every key (``-1`` when absent), in one pass."""
+        if not self._index:
+            return np.full(len(keys), -1, dtype=np.intp)
+        return np.fromiter(
+            map(self._index.get, keys, repeat(-1)),
+            dtype=np.intp, count=len(keys),
+        )
+
     def gather(self, keys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One fancy-index read of many keys.
 
@@ -302,10 +312,7 @@ class SlabStorage:
         holds the rows of present keys in input order (absent keys are
         skipped; ``matrix`` has ``present_mask.sum()`` rows).
         """
-        index = self._index
-        positions = np.fromiter(
-            (index.get(k, -1) for k in keys), dtype=np.intp, count=len(keys)
-        )
+        positions = self._positions(keys)
         present = positions >= 0
         hit = positions[present]
         return present, self._rows[hit], self._versions[hit]
@@ -328,7 +335,14 @@ class SlabStorage:
 
     def load(self, snapshot: SlabSnapshot, replace: bool) -> None:
         """Install a snapshot: wholesale (``replace``) or merged at the
-        snapshot's explicit versions."""
+        snapshot's explicit versions.
+
+        The merge is columnar: one position lookup, fresh keys take
+        free-list rows first (in ``set_at``'s LIFO order) and then one
+        contiguous block past ``_high`` after at most one ``_grow``, one
+        fancy-index write of rows and versions, one index update.
+        Snapshot keys must be unique.
+        """
         n = len(snapshot)
         if replace:
             self.clear()
@@ -343,9 +357,25 @@ class SlabStorage:
                 int(k): i for i, k in enumerate(snapshot.keys)
             }
             return
-        for i in range(n):
-            self.set_at(int(snapshot.keys[i]), snapshot.rows[i],
-                        int(snapshot.versions[i]))
+        keys = snapshot.keys.tolist()
+        targets = self._positions(keys)
+        fresh = np.flatnonzero(targets < 0)
+        if len(fresh):
+            reused = min(len(self._free), len(fresh))
+            block = len(fresh) - reused
+            if self._high + block > self.capacity:
+                # The capacity set_at's one-doubling-per-fill would reach.
+                self._grow(max(self._high + block, 2 * self.capacity))
+            rows = self._free[len(self._free) - reused:][::-1]
+            del self._free[len(self._free) - reused:]
+            rows.extend(range(self._high, self._high + block))
+            self._high += block
+            targets[fresh] = rows
+            if len(fresh) < n:
+                keys = [keys[i] for i in fresh.tolist()]
+            self._index.update(zip(keys, rows))
+        self._rows[targets] = snapshot.rows
+        self._versions[targets] = snapshot.versions
 
     def adopt(self, keys: np.ndarray, rows: np.ndarray,
               versions: np.ndarray) -> None:
@@ -530,8 +560,11 @@ class HybridStore:
     def prepare_bulk(self, keys, matrix) -> SlabSnapshot:
         """Stage a bulk put: copy rows once, compute next versions.
 
-        Returns the :class:`SlabSnapshot` to journal (one LOAD record);
-        apply it with :meth:`bulk_install`. Keys must be unique.
+        Versions come from one slab position lookup (every version is 1
+        into an empty store, the ``add_model`` case); only keys the slab
+        lacks are looked up in the object dict. Returns the
+        :class:`SlabSnapshot` to journal (one LOAD record); apply it with
+        :meth:`bulk_install`. Keys must be unique.
         """
         if self.slab is None:
             raise ValueError("bulk slab loads need a slab-backed store")
@@ -542,10 +575,18 @@ class HybridStore:
                 f"bulk rows must be ({len(keys)}, {self.slab.rank}), "
                 f"got {rows.shape}"
             )
-        versions = np.fromiter(
-            (self.version(int(k)) + 1 for k in keys),
-            dtype=np.int64, count=len(keys),
-        )
+        versions = np.ones(len(keys), dtype=np.int64)
+        if len(self):
+            key_list = keys.tolist()
+            positions = self.slab._positions(key_list)
+            present = positions >= 0
+            versions[present] += self.slab._versions[positions[present]]
+            if self.objects:
+                get = self.objects.get
+                for i in np.flatnonzero(~present).tolist():
+                    entry = get(key_list[i])
+                    if entry is not None:
+                        versions[i] += entry[1]
         rows.flags.writeable = False
         keys.flags.writeable = False
         versions.flags.writeable = False
@@ -556,8 +597,9 @@ class HybridStore:
         if self.slab is None:
             raise ValueError("bulk slab loads need a slab-backed store")
         if self.objects:
-            for key in snapshot.keys:
-                self.objects.pop(int(key), None)
+            pop = self.objects.pop
+            for key in snapshot.keys.tolist():
+                pop(key, None)
         self.slab.load(snapshot, replace=replace)
 
     # -- export / import ------------------------------------------------

@@ -170,7 +170,9 @@ class Table:
         """Bulk-install weight rows (one journaled LOAD per partition).
 
         Each key lands at its current version + 1 — the retrain swap
-        path. Returns the number of rows installed.
+        path. Keys are split across partitions in one columnar pass when
+        the partitioner has ``partition_many``; a plain callable is asked
+        once per key. Returns the number of rows installed.
         """
         if self.value_policy is None:
             raise PartitionError(
@@ -182,11 +184,24 @@ class Table:
         if self.num_partitions == 1:
             self._partitions[0].load_rows(keys, matrix)
             return len(keys)
-        owners = np.fromiter(
-            (self.partition_index(int(k)) for k in keys),
-            dtype=np.intp, count=len(keys),
-        )
-        for index in np.unique(owners):
+        partition_many = getattr(self._partitioner, "partition_many", None)
+        if partition_many is None:
+            owners = np.fromiter(
+                (self.partition_index(k) for k in keys.tolist()),
+                dtype=np.intp, count=len(keys),
+            )
+        else:
+            owners = partition_many(keys)
+            if len(owners) and not (
+                0 <= owners.min() and owners.max() < self.num_partitions
+            ):
+                raise PartitionError(
+                    f"partitioner returned indices outside [0, "
+                    f"{self.num_partitions}) for table {self.name!r}"
+                )
+        for index in np.flatnonzero(
+            np.bincount(owners, minlength=self.num_partitions)
+        ):
             mask = owners == index
             self._partitions[index].load_rows(keys[mask], matrix[mask])
         return len(keys)

@@ -379,6 +379,38 @@ class TestTimedOutSlotRecovery:
             assert client.metrics.timed_out == 2
             assert client.in_flight == 0
 
+    def test_probe_out_run_by_a_hedge_frees_its_slot(self, deployed_velox):
+        """A half-open probe to a stalled endpoint that loses the race to
+        a hedge on a live one is abandoned without a verdict: the next
+        call to the stalled endpoint is admitted as a new probe, not
+        refused for the life of the client."""
+        clock = FakeTime()
+        with SilentServer() as stalled, VeloxServer(deployed_velox) as live:
+            with ResilientClient(
+                [("127.0.0.1", stalled.port), (live.host, live.port)],
+                pool_size=1,
+                timeout=5.0,
+                hedge=HedgePolicy(min_samples=8, max_delay=0.05),
+                breaker_threshold=1,
+                breaker_reset=1.0,
+            ) as client:
+                for _ in range(8):
+                    client.hedge.observe(0.001)  # hedge after ~1 ms
+                breaker = client._endpoints[0].breaker
+                breaker._now = clock
+                breaker.on_failure()
+                assert breaker.state == "open"
+                clock.advance(1.0)
+                assert breaker.state == "half_open"
+                # Round-robin starts at the stalled endpoint: its probe
+                # is the primary, and the hedge to the live one wins.
+                assert client.predict(uid=3, item=5).ok
+                assert client.metrics.hedges_won == 1
+                assert client.in_flight == 0
+                breaker.before_call()  # admitted: the slot was freed
+                with pytest.raises(CircuitOpenError):
+                    breaker.before_call()  # ...and it is the one probe
+
 
 class TestResilientClient:
     def test_plain_predict_succeeds(self, deployed_velox, engine):
