@@ -16,6 +16,8 @@ front-end exactly as a web application would use it:
 Run:  python examples/music_recommender.py
 """
 
+import time
+
 import numpy as np
 
 from repro import Velox, VeloxConfig
@@ -128,21 +130,31 @@ def main() -> None:
                   f"{health.payload['score']:.2f}")
 
             # -- taste drift triggers automatic retraining ------------------------
+            # The observe that finds the model stale only starts the
+            # retrain; serving keeps answering while it trains.
             print("\ntastes drift: yesterday's hits start flopping ...")
             drifted = listener_taste(lens, drifted=True)
             sessions = 0
-            while velox.model().version == 0 and sessions < 2000:
+            started = False
+            while not started and sessions < 2000:
                 uid = int(rng.integers(NUM_LISTENERS))
                 song = int(rng.integers(NUM_SONGS))
-                client.call(
+                response = client.call(
                     ObserveApiRequest(uid=uid, item=song, label=drifted(uid, song))
                 )
+                started = response.payload["retrained"]
                 sessions += 1
-            if velox.model().version > 0:
+            if started:
+                served = 0
+                deadline = time.monotonic() + 60.0
+                while not velox.manager.retrain_events and time.monotonic() < deadline:
+                    client.call(PredictApiRequest(uid=served % NUM_LISTENERS, item=0))
+                    served += 1
                 event = velox.manager.retrain_events[-1]
                 print(
-                    f"manager detected staleness after {sessions} drifted sessions "
-                    f"and retrained to v{event.new_version} "
+                    f"manager detected staleness after {sessions} drifted sessions; "
+                    f"{served} predictions served while it retrained to "
+                    f"v{event.new_version} "
                     f"({event.observations_used} observations, "
                     f"reason: {event.reason!r})"
                 )

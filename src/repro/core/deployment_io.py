@@ -113,7 +113,7 @@ def load_deployment(directory: str | Path):
     velox = Velox(
         config,
         cluster,
-        BatchContext(default_parallelism=config.num_nodes),
+        BatchContext(config.num_nodes, executor=config.batch_executor),
         auto_retrain=meta.get("auto_retrain", True),
     )
 

@@ -17,8 +17,9 @@ Responsibilities, mapping to the paper's list:
 
 from __future__ import annotations
 
-import threading
+import logging
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import RLock
 
@@ -32,6 +33,8 @@ from repro.core.bootstrap import UserWeightAverager
 from repro.metrics.streaming import StreamingMeanVar, WindowedMean
 from repro.store.oblog import Observation
 from repro.store.slab import ArrayMapping
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -88,43 +91,15 @@ class ModelHealth:
 
 @dataclass(frozen=True)
 class _RetrainSnapshot:
-    """Everything the offline phase consumes, captured at trigger time."""
+    """Everything the offline phase and its swap consume, captured at
+    trigger time. ``offset`` bounds the log prefix the job trains on;
+    the swap replays the records from there on."""
 
     model: object
     offset: int
-    observations: list
     weights: dict
     hot_features: list
     hot_predictions: list
-
-
-class RetrainHandle:
-    """Tracks one background retrain (see ``retrain_async``)."""
-
-    def __init__(self, model_name: str):
-        self.model_name = model_name
-        self._done = threading.Event()
-        self._event: "RetrainEvent | None" = None
-        self._error: BaseException | None = None
-
-    def _finish(self, event, error) -> None:
-        self._event = event
-        self._error = error
-        self._done.set()
-
-    def done(self) -> bool:
-        """Whether the background retrain has finished (either way)."""
-        return self._done.is_set()
-
-    def wait(self, timeout: float | None = None) -> "RetrainEvent":
-        """Block until the retrain completes; re-raises its failure."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"background retrain of {self.model_name!r} still running"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._event
 
 
 @dataclass(frozen=True)
@@ -147,14 +122,18 @@ class RetrainEvent:
     #: fraction of worker-seconds those stages spent computing (see
     #: :class:`repro.batch.StageProfile`).
     batch_utilization: float | None = None
+    #: observes acked while the job trained, replayed at the swap.
+    replayed_observations: int = 0
 
 
 @dataclass(frozen=True)
 class ObserveResult:
-    """What one ``observe`` call did."""
+    """What one ``observe`` call did; ``retrained`` means it started a
+    retrain (it never waits for the swap)."""
 
     loss: float
     prediction_before_update: float
+    #: this observe started a retrain on the retrain worker.
     retrained: bool
     node_id: int
 
@@ -182,15 +161,19 @@ class ModelManager:
         self.averagers: dict[str, UserWeightAverager] = {}
         self.udf_warnings: dict[str, list[str]] = {}
         self.retrain_events: list[RetrainEvent] = []
-        self._retraining = False
-        self._async_retraining: set[str] = set()
+        # Running retrains by model name; the one worker runs them one
+        # at a time, so batch jobs never share the batch context.
+        self._async_retraining: dict[str, Future] = {}
+        self._retrain_worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="velox-retrain"
+        )
         # Serializes the read-modify-write of user state and the model
         # swap. Writers run on several threads at once: the reactor
-        # executes observes and retrains inline, a background retrain
-        # swaps from its own thread, and in-process callers observe from
-        # theirs; two concurrent observes for the same user must not
-        # lose an update. Predictions on the engine workers stay
-        # lock-free (they only read).
+        # executes observes inline, the retrain worker swaps from its
+        # own thread, and in-process callers observe from theirs; two
+        # concurrent observes for the same user must not lose an
+        # update. Predictions on the engine workers stay lock-free
+        # (they only read).
         self._write_lock = RLock()
 
     # -- deployment -------------------------------------------------------
@@ -349,13 +332,10 @@ class ModelManager:
             )
         )
 
-        features, _hit, _latency = self.service.get_features(model, x, node.node_id)
         self.cluster.charge_user_access(node.node_id, uid, model.dimension * 8)
-
-        state = self._user_table_op(lambda: table.get_or_default(uid))
-        if state is None:
-            state = self._bootstrap_state(model, model_name)
-        prediction_before = state.predict(features)
+        prediction_before = self._apply_update(
+            model, model_name, table, node.node_id, uid, x, y
+        )
         loss = model.loss(y, prediction_before, x, uid)
 
         health = self.health[model_name]
@@ -363,21 +343,22 @@ class ModelManager:
         if validation:
             health.record_validation_example(uid, x, y, loss)
 
-        self.updater.update(state, features, float(y))
-        state.weight_version += 1
-        self._user_table_op(lambda: table.put(uid, state))
-        self.averagers[model_name].update(uid, state.weights)
-
+        # Start a retrain, never wait for one: the job trains on the
+        # retrain worker and the swap replays this observe's successors.
         retrained = False
         if (
             self.auto_retrain
-            and not self._retraining
+            and model_name not in self._async_retraining
             and health.is_stale(
                 self.config.staleness_loss_ratio,
                 self.config.min_observations_for_staleness,
             )
         ):
-            self.retrain_now(model_name, reason="staleness threshold exceeded")
+            future = self._start_retrain(
+                model_name, reason="staleness threshold exceeded"
+            )
+            # Nobody waits on this one: report its failure, never drop it.
+            future.add_done_callback(_report_failure)
             retrained = True
         return ObserveResult(
             loss=loss,
@@ -385,6 +366,21 @@ class ModelManager:
             retrained=retrained,
             node_id=node.node_id,
         )
+
+    def _apply_update(self, model, model_name, table, node_id, uid, x, y) -> float:
+        """The online per-user update against ``model``'s features, for
+        ``observe`` and the swap's tail replay; returns the prediction
+        before it. Touches neither the log nor health."""
+        features, _hit, _latency = self.service.get_features(model, x, node_id)
+        state = self._user_table_op(lambda: table.get_or_default(uid))
+        if state is None:
+            state = self._bootstrap_state(model, model_name)
+        prediction_before = state.predict(features)
+        self.updater.update(state, features, float(y))
+        state.weight_version += 1
+        self._user_table_op(lambda: table.put(uid, state))
+        self.averagers[model_name].update(uid, state.weights)
+        return prediction_before
 
     # -- retraining --------------------------------------------------------------
 
@@ -395,113 +391,92 @@ class ModelManager:
         sample_fraction: float | None = None,
         min_per_user: int = 3,
     ) -> RetrainEvent:
-        """Offline retrain on all logged data, then swap + repopulate.
-
-        Follows Section 4.2: the batch job consumes the observation log
-        snapshot and current user weights, produces new feature
-        parameters and user weights, and the previously-hot cache
-        entries are recomputed under the new model before the swap
-        completes.
+        """Offline retrain on all logged data, then swap + repopulate:
+        :meth:`retrain_async`'s job, waited for. The caller must not
+        hold the write lock (the swap takes it).
 
         ``sample_fraction`` routes the snapshot through the sampling
         engine first (stratified by uid, keeping at least
         ``min_per_user`` observations per user): an approximate retrain
         that trades a little accuracy for a much cheaper batch job.
         """
-        with self._write_lock:
-            self._retraining = True
-            try:
-                snapshot = self._snapshot_for_retrain(model_name)
-                training_set, sampled = self._training_set(
-                    snapshot, sample_fraction, min_per_user
-                )
-                mark = len(self.batch_context.metrics.stage_profiles)
-                train_start = time.perf_counter()
-                new_model, new_user_weights = snapshot.model.retrain(
-                    self.batch_context, training_set, snapshot.weights
-                )
-                profile = self._batch_profile(
-                    mark, time.perf_counter() - train_start
-                )
-                return self._swap_retrained(
-                    model_name, snapshot, new_model, new_user_weights, reason,
-                    sampled_observations=sampled,
-                    batch_profile=profile,
-                )
-            finally:
-                self._retraining = False
+        future = self._start_retrain(model_name, reason, sample_fraction, min_per_user)
+        return future.result()
 
-    def _training_set(
-        self, snapshot: "_RetrainSnapshot", sample_fraction, min_per_user
-    ) -> tuple[list, int | None]:
-        if sample_fraction is None:
-            return snapshot.observations, None
-        from repro.sampling import sample_observations
+    def retrain_async(self, model_name: str, reason: str = "background") -> Future:
+        """Start an offline retrain; serving and observes continue. The
+        future resolves to the :class:`RetrainEvent` once the new
+        version serves (or raises the job's failure)."""
+        return self._start_retrain(model_name, reason)
 
-        sampled = sample_observations(
-            snapshot.observations, sample_fraction, min_per_user=min_per_user
-        )
-        return sampled, len(sampled)
+    def _start_retrain(
+        self, model_name: str, reason: str, sample_fraction=None, min_per_user=3
+    ) -> Future:
+        """The one way to train and swap a model (Section 4.2).
 
-    def retrain_async(self, model_name: str, reason: str = "background") -> "RetrainHandle":
-        """Offline retrain in a background thread; serving continues.
-
-        The observation log and user weights are snapshotted now; the
-        batch job trains outside the write lock (the paper's offline
-        phase runs on the cluster compute framework while the serving
-        tier keeps answering queries); the swap + cache repopulation
-        acquire the lock only at completion. Online updates that land
-        during training adapt the *old* states and are superseded at the
-        swap — the same drift the paper accepts between trigger time and
-        swap time. One background retrain per model at a time.
+        Under the write lock: refuse a model with a retrain running,
+        snapshot, and queue the job on the retrain worker. The job
+        trains off the lock while serving keeps answering, and takes
+        the lock only for the swap, which replays every observe acked
+        since the snapshot.
         """
         with self._write_lock:
             if model_name in self._async_retraining:
                 raise ValidationError(
-                    f"a background retrain for {model_name!r} is already running"
+                    f"a retrain of {model_name!r} is already running"
                 )
             snapshot = self._snapshot_for_retrain(model_name)
-            self._async_retraining.add(model_name)
-        handle = RetrainHandle(model_name)
+            future = self._retrain_worker.submit(
+                self._retrain_job, model_name, snapshot, reason,
+                sample_fraction, min_per_user,
+            )
+            self._async_retraining[model_name] = future
+            return future
 
-        def run() -> None:
-            """The background retrain body (train, then locked swap)."""
-            try:
-                mark = len(self.batch_context.metrics.stage_profiles)
-                train_start = time.perf_counter()
-                new_model, new_user_weights = snapshot.model.retrain(
-                    self.batch_context, snapshot.observations, snapshot.weights
-                )
-                profile = self._batch_profile(
-                    mark, time.perf_counter() - train_start
-                )
-                with self._write_lock:
-                    event = self._swap_retrained(
-                        model_name, snapshot, new_model, new_user_weights,
-                        reason, batch_profile=profile,
-                    )
-                handle._finish(event, None)
-            except BaseException as err:  # surfaced via handle.wait()
-                handle._finish(None, err)
-            finally:
-                with self._write_lock:
-                    self._async_retraining.discard(model_name)
+    def _retrain_job(
+        self, model_name, snapshot, reason, sample_fraction, min_per_user
+    ) -> RetrainEvent:
+        """Train off the write lock, then swap under it (retrain worker)."""
+        try:
+            # The log prefix is append-only: no lock needed to read it.
+            training_set = self.observation_log(model_name).read_range(
+                0, snapshot.offset
+            )
+            sampled = None
+            if sample_fraction is not None:
+                from repro.sampling import sample_observations
 
-        thread = threading.Thread(
-            target=run, name=f"retrain-{model_name}", daemon=True
-        )
-        thread.start()
-        return handle
+                training_set = sample_observations(
+                    training_set, sample_fraction, min_per_user=min_per_user
+                )
+                sampled = len(training_set)
+            mark = len(self.batch_context.metrics.stage_profiles)
+            train_start = time.perf_counter()
+            new_model, new_user_weights = snapshot.model.retrain(
+                self.batch_context, training_set, snapshot.weights
+            )
+            profile = self._batch_profile(
+                mark, time.perf_counter() - train_start
+            )
+            with self._write_lock:
+                event = self._swap_retrained(
+                    model_name, snapshot, new_model, new_user_weights, reason,
+                    sampled_observations=sampled,
+                    batch_profile=profile,
+                )
+                self.retrain_events.append(event)
+            return event
+        finally:
+            # Before the future resolves, so a caller that chains its
+            # result into the next retrain is never refused.
+            with self._write_lock:
+                del self._async_retraining[model_name]
 
     def _snapshot_for_retrain(self, model_name: str) -> "_RetrainSnapshot":
-        """Capture everything the offline phase needs, under the lock."""
-        model = self.registry.get(model_name)
-        log = self.observation_log(model_name)
-        offset = log.snapshot_offset()
+        """Capture what the offline phase and its swap need (locked)."""
         return _RetrainSnapshot(
-            model=model,
-            offset=offset,
-            observations=log.read_range(0, offset),
+            model=self.registry.get(model_name),
+            offset=self.observation_log(model_name).snapshot_offset(),
             # One columnar copy per partition, no per-user state decode.
             weights=self.user_state_table(model_name).export_weight_matrix(),
             hot_features=self.service.cached_feature_items(model_name),
@@ -512,8 +487,9 @@ class ModelManager:
         """Summarize the scheduler stages a retrain's batch job ran.
 
         ``mark`` is the stage-profile list length captured before the
-        job; everything appended since belongs to this retrain (retrains
-        are serialized per context, so the slice is not interleaved).
+        job; everything appended since belongs to this retrain (the one
+        retrain worker serializes them, so the slice is not
+        interleaved).
         """
         profiles = self.batch_context.metrics.stage_profiles[mark:]
         worker_seconds = sum(
@@ -533,43 +509,60 @@ class ModelManager:
         model_name: str,
         snapshot: "_RetrainSnapshot",
         new_model,
-        new_user_weights: dict,
+        new_user_weights: dict | None,
         reason: str,
         sampled_observations: int | None = None,
         batch_profile: dict | None = None,
     ) -> RetrainEvent:
-        """Publish the retrained model and repopulate caches (locked)."""
+        """Publish ``new_model``, install its user weights, replay the
+        log tail, and repopulate caches: the one swap, for retrains and
+        shadow promotion (the caller holds the write lock).
+        ``new_user_weights=None`` keeps the live user states (nothing
+        installed, nothing to replay)."""
         current = self.registry.get(model_name)
         if new_model.version <= current.version:
             new_model = new_model.with_version(current.version + 1)
         self.registry.publish(
             new_model, trained_on_observations=snapshot.offset, note=reason
         )
-
-        # Install fresh user states; the retrained weights become the
-        # prior so subsequent online updates adapt from them. Observed
-        # users collapse back into the slab here: the fresh states are
-        # pristine again.
         table = self.user_state_table(model_name)
-        averager = UserWeightAverager(new_model.dimension)
-        self.averagers[model_name] = averager
-        self._install_user_weights(new_model, table, averager, new_user_weights)
-
+        tail = []
+        if new_user_weights is not None:
+            # Fresh user states: the retrained weights become the prior
+            # so later online updates adapt from them.
+            averager = UserWeightAverager(new_model.dimension)
+            self.averagers[model_name] = averager
+            self._install_user_weights(new_model, table, averager, new_user_weights)
+            # Replay the observes acked since the snapshot, in log order,
+            # against the new features. A tail user the new weights skip
+            # restarts from its snapshot row (or the bootstrap), so each
+            # record lands exactly once.
+            tail = self.observation_log(model_name).read_range(snapshot.offset)
+            for uid in {o.uid for o in tail if o.uid not in new_user_weights}:
+                row = snapshot.weights.get(uid)
+                if row is None or len(row) != new_model.dimension:
+                    table.delete(uid)
+                else:
+                    table.put(uid, self._make_state(new_model, np.array(row, float)))
+            for o in tail:
+                node_id = self.cluster.router.route(o.uid).node_id
+                self._apply_update(
+                    new_model, model_name, table, node_id, o.uid, o.item_data, o.label
+                )
         repopulated = self._repopulate_caches(
             new_model, snapshot.hot_features, snapshot.hot_predictions, table
         )
         self.health[model_name].reset_after_retrain()
-        event = RetrainEvent(
+        return RetrainEvent(
             model_name=model_name,
             new_version=new_model.version,
             observations_used=snapshot.offset,
             reason=reason,
             caches_repopulated=repopulated,
             sampled_observations=sampled_observations,
+            replayed_observations=len(tail),
             **(batch_profile or {}),
         )
-        self.retrain_events.append(event)
-        return event
 
     def _repopulate_caches(self, model, hot_features, hot_predictions, table) -> int:
         """Recompute previously-cached entries under the new model.
@@ -672,3 +665,10 @@ class ModelManager:
         if isinstance(x, (int, np.integer)):
             return int(x)
         return -1
+
+
+def _report_failure(future: Future) -> None:
+    """Log the failure of a retrain that no caller waits on."""
+    error = future.exception()
+    if error is not None:
+        _log.error("background retrain failed", exc_info=error)

@@ -144,32 +144,21 @@ class ShadowEvaluator:
     def promote(self, note: str = "shadow evaluation win"):
         """Publish the candidate as the new serving version.
 
-        Installs ``candidate_weights`` (when provided) as fresh user
-        states, exactly like a retrain swap; raises if the evaluation
-        has not been won.
+        Goes through the retrain swap: ``candidate_weights`` (when
+        provided) become fresh user states, otherwise the live states
+        are kept; raises if the evaluation has not been won.
         """
         if not self.should_promote():
             raise ValidationError(
                 "candidate has not won its shadow evaluation; refusing to promote"
             )
         manager = self.velox.manager
-        current = self.velox.model(self.model_name)
-        candidate = self.candidate
-        if candidate.version <= current.version:
-            candidate = candidate.with_version(current.version + 1)
         with manager._write_lock:
-            self.velox.registry.publish(candidate, note=note)
-            if self.candidate_weights:
-                from repro.core.bootstrap import UserWeightAverager
-
-                averager = UserWeightAverager(candidate.dimension)
-                manager._install_user_weights(
-                    candidate,
-                    manager.user_state_table(self.model_name),
-                    averager,
-                    self.candidate_weights,
-                )
-                manager.averagers[self.model_name] = averager
-            self.velox.service.invalidate_model(self.model_name)
-            manager.health[self.model_name].reset_after_retrain()
-        return candidate
+            manager._swap_retrained(
+                self.model_name,
+                manager._snapshot_for_retrain(self.model_name),
+                self.candidate,
+                self.candidate_weights or None,
+                note,
+            )
+            return self.velox.model(self.model_name)

@@ -179,13 +179,13 @@ class Velox:
     # -- lifecycle passthroughs --------------------------------------------------------
 
     def retrain(self, model_name: str | None = None, reason: str = "manual") -> RetrainEvent:
-        """Synchronous offline retrain; returns the RetrainEvent."""
+        """Offline retrain, waited for; returns the RetrainEvent."""
         return self.manager.retrain_now(self._model_name(model_name), reason=reason)
 
     def retrain_async(self, model_name: str | None = None, reason: str = "background"):
         """Kick off a background retrain; serving continues. Returns a
-        :class:`~repro.core.manager.RetrainHandle` (``wait()`` for the
-        event)."""
+        :class:`concurrent.futures.Future` of the
+        :class:`~repro.core.manager.RetrainEvent`."""
         return self.manager.retrain_async(self._model_name(model_name), reason=reason)
 
     def rollback(self, version: int, model_name: str | None = None) -> VeloxModel:

@@ -44,11 +44,10 @@ class VeloxClient:
         #: by the TCP server so ``status`` responses expose the front
         #: end's state (open sockets, backpressure, dispatch depth).
         self.frontend_status = None
-        # Analytics queries can degrade to log scans; a small side pool
-        # keeps them off the event-loop/serving thread (see
-        # dispatch_async). Created lazily — most clients never query.
-        self._analytics_pool: ThreadPoolExecutor | None = None
-        self._analytics_pool_lock = threading.Lock()
+        # The side pool for analytics and retrain requests (see
+        # dispatch_async). Created lazily — most clients send neither.
+        self._side_pool: ThreadPoolExecutor | None = None
+        self._side_pool_lock = threading.Lock()
 
     # -- convenience methods (build request objects internally) -------------
 
@@ -144,8 +143,9 @@ class VeloxClient:
         an attached engine are *enqueued* (the returned future completes
         when the engine's worker pool serves or sheds the batch), so the
         reactor can keep many requests in flight and fill adaptive
-        batches. Every other request — and every request when
-        no engine is attached — is dispatched inline and returned as an
+        batches. ``analytics`` and ``retrain`` requests run on a small
+        side pool. Every other request — and a predict or top-k when no
+        engine is attached — is dispatched inline and returned as an
         already-completed future. Like :meth:`dispatch`, the future
         always yields an :class:`ApiResponse`; errors become envelopes,
         never exceptions.
@@ -217,21 +217,21 @@ class VeloxClient:
 
             inner.add_done_callback(_complete)
             return outer
-        if isinstance(request, AnalyticsApiRequest):
-            # Analytics may fall back to a log scan; run it on the side
-            # pool so a reporting query never stalls the event-loop
-            # thread between serving requests.
-            pool = self._analytics_pool
+        if isinstance(request, (AnalyticsApiRequest, RetrainApiRequest)):
+            # Analytics may fall back to a log scan and a retrain waits
+            # for its swap; run both on the side pool so neither stalls
+            # the event-loop thread between serving requests.
+            pool = self._side_pool
             if pool is None:
-                with self._analytics_pool_lock:
-                    pool = self._analytics_pool
+                with self._side_pool_lock:
+                    pool = self._side_pool
                     if pool is None:
                         pool = ThreadPoolExecutor(
-                            max_workers=2, thread_name_prefix="velox-analytics"
+                            max_workers=2, thread_name_prefix="velox-side"
                         )
-                        self._analytics_pool = pool
+                        self._side_pool = pool
 
-            def _run_analytics() -> ApiResponse:
+            def _run_on_side_pool() -> ApiResponse:
                 try:
                     return self.dispatch(request)
                 except Exception as err:
@@ -239,7 +239,7 @@ class VeloxClient:
                         ok=False, error=f"{type(err).__name__}: {err}"
                     )
 
-            return pool.submit(_run_analytics)
+            return pool.submit(_run_on_side_pool)
         try:
             return self._completed(self.dispatch(request))
         except Exception as err:  # dispatch of unknown/broken requests

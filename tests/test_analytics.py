@@ -454,11 +454,11 @@ class TestFrontend:
         response = future.result(timeout=10)
         assert response.ok
         # The side pool exists and is not the caller's thread.
-        assert client._analytics_pool is not None
-        name = client._analytics_pool.submit(
+        assert client._side_pool is not None
+        name = client._side_pool.submit(
             lambda: threading.current_thread().name
         ).result(5)
-        assert name.startswith("velox-analytics")
+        assert name.startswith("velox-side")
 
     def test_analytics_over_the_socket(self, deployed_velox):
         client = VeloxClient(deployed_velox)

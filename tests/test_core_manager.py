@@ -229,6 +229,11 @@ class TestRetrain:
                 retrained = True
                 break
         assert retrained
+        # The observe only started the retrain; wait for its swap (a
+        # future already gone from the map has finished).
+        running = velox.manager._async_retraining.get("songs")
+        if running is not None:
+            running.result(timeout=60)
         assert velox.model().version == 1
 
 

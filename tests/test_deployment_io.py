@@ -49,6 +49,23 @@ class TestSaveLoad:
         revived = restored.rollback(version=0)
         assert revived.version == 2
 
+    def test_batch_executor_restored(self, trained_als, tmp_path):
+        from repro import VeloxConfig
+        from tests.conftest import make_initial_weights, make_mf_model
+
+        velox = Velox.deploy(
+            VeloxConfig(num_nodes=2, batch_executor="fork"), auto_retrain=False
+        )
+        model = make_mf_model(trained_als)
+        velox.add_model(model, make_initial_weights(model, trained_als))
+        velox.save(tmp_path / "d")
+        restored = Velox.load(tmp_path / "d")
+        assert restored.batch_context.executor == "fork"
+        assert (
+            restored.batch_context.default_parallelism
+            == velox.batch_context.default_parallelism
+        )
+
     def test_observation_log_survives(self, deployed_velox, tmp_path):
         for i in range(7):
             deployed_velox.observe(uid=1, x=i % 5, y=4.0)
