@@ -2,14 +2,14 @@
 
 New users are assigned "a recent estimate of the average of the existing
 user weight vectors", which corresponds to predicting the average score
-over all users. :class:`UserWeightAverager` maintains that average
-incrementally: each user's latest weight vector contributes once, and
-re-writes replace the previous contribution, so the mean always reflects
-current weights in O(d) per update.
+over all users. :class:`UserWeightAverager` holds that average as a
+running sum and a count: the mean of the current weight vector of every
+user in the model's table whose vector has the model's dimension.
 
-Contributions are stored columnar, like a slab partition: one ``(n, d)``
-matrix, a ``uid -> row`` index and a free list, so a bulk install into
-an empty averager is one copy and one ``sum(axis=0)``.
+It keeps no per-user rows. The caller that rewrites a user's weights
+already holds the previous vector and swaps it out with :meth:`replace`;
+a whole table is summed in place (``Table.weight_sum``) when the
+averager is built at deployment, at each retrain swap, and at load.
 """
 
 from __future__ import annotations
@@ -22,85 +22,48 @@ from repro.common.errors import ValidationError
 class UserWeightAverager:
     """Exact running mean of every user's current weight vector."""
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, total=None, count: int = 0):
+        """``total``/``count`` seed the sum of ``count`` users' vectors
+        (copied, never aliased)."""
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
+        if count < 0:
+            raise ValidationError(f"count must be >= 0, got {count}")
         self.dimension = dimension
-        self.reset()
+        self._sum = (
+            np.zeros(dimension) if total is None else self._checked(total).copy()
+        )
+        self._count = int(count)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._count
 
-    def update(self, uid: int, weights: np.ndarray) -> None:
-        """Record ``uid``'s current weights (replacing any previous ones)."""
+    def _checked(self, weights) -> np.ndarray:
         arr = np.asarray(weights, dtype=float)
         if arr.shape != (self.dimension,):
             raise ValidationError(
                 f"weights must have shape ({self.dimension},), got {arr.shape}"
             )
-        row = self._index.get(uid)
-        if row is None:
-            row = self._allocate(uid)
-        else:
-            self._sum -= self._rows[row]
-        self._rows[row] = arr
-        self._sum += arr
+        return arr
 
-    def update_many(self, uids, matrix) -> None:
-        """Record many users' weights: row ``i`` of ``matrix`` is
-        ``uids[i]``'s. Equal to a loop of :meth:`update`; into an empty
-        averager with unique uids it is one copy and one column sum."""
-        uids = np.asarray(uids).tolist()
-        rows = np.array(matrix, dtype=float)
-        if rows.shape != (len(uids), self.dimension):
-            raise ValidationError(
-                f"weights must have shape ({len(uids)}, {self.dimension}), "
-                f"got {rows.shape}"
-            )
-        if not self._index:
-            index = dict(zip(uids, range(len(uids))))
-            if len(index) == len(uids):
-                self._rows = rows
-                self._index = index
-                self._free = []
-                self._high = len(uids)
-                self._sum = rows.sum(axis=0)
-                return
-        for uid, row in zip(uids, rows):
-            self.update(uid, row)
+    def add(self, weights) -> None:
+        """Count a new user's weights."""
+        self._sum += self._checked(weights)
+        self._count += 1
 
-    def remove(self, uid: int) -> bool:
-        """Forget a user; returns whether they were known."""
-        row = self._index.pop(uid, None)
-        if row is None:
-            return False
-        self._sum -= self._rows[row]
-        self._free.append(row)
-        return True
+    def replace(self, old, new) -> None:
+        """A counted user's weights changed from ``old`` to ``new``."""
+        self._sum += self._checked(new) - self._checked(old)
+
+    def remove(self, weights) -> None:
+        """Forget a counted user whose current weights are ``weights``."""
+        if not self._count:
+            raise ValidationError("no user weights to remove")
+        self._sum -= self._checked(weights)
+        self._count -= 1
 
     def mean(self) -> np.ndarray:
         """The bootstrap weight vector w-bar for new users."""
-        if not self._index:
+        if not self._count:
             raise ValidationError("no user weights to average yet")
-        return self._sum / len(self._index)
-
-    def reset(self) -> None:
-        """Forget every contribution."""
-        self._sum = np.zeros(self.dimension)
-        self._rows = np.zeros((0, self.dimension))
-        self._index: dict[int, int] = {}
-        self._free: list[int] = []
-        self._high = 0  # rows ever allocated
-
-    def _allocate(self, uid: int) -> int:
-        if self._free:
-            row = self._free.pop()
-        else:
-            if self._high == len(self._rows):
-                grown = np.zeros((max(8, 2 * self._high), self.dimension))
-                grown[: self._high] = self._rows[: self._high]
-                self._rows = grown
-            row = self._high
-            self._high += 1
-        self._index[uid] = row
-        return row
+        return self._sum / self._count

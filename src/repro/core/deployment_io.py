@@ -71,7 +71,6 @@ def load_deployment(directory: str | Path):
     """
     from repro.core.velox import Velox
     from repro.core.manager import ModelHealth
-    from repro.core.bootstrap import UserWeightAverager
     from repro.core.online import user_state_policy
     from repro.batch import BatchContext
     from repro.cluster import NetworkModel, VeloxCluster
@@ -129,11 +128,7 @@ def load_deployment(directory: str | Path):
             )
         # Manager-side wiring the register path would normally create.
         velox.manager.health[name] = ModelHealth(window=config.staleness_window)
-        current = velox.registry.get(name)
-        averager = UserWeightAverager(current.dimension)
-        table = cluster.store.table(f"user_state:{name}")
-        averager.update_many(*table.export_weight_matrix().arrays())
-        velox.manager.averagers[name] = averager
+        velox.manager.rebuild_averager(name)
 
     velox._default_model = meta.get("default_model")
     return velox

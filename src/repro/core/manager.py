@@ -210,19 +210,14 @@ class ModelManager:
         )
         log = store.create_log(self._log_name(model.name))
         self.health[model.name] = ModelHealth(window=self.config.staleness_window)
-        averager = UserWeightAverager(model.dimension)
-        self.averagers[model.name] = averager
         if initial_user_weights:
-            self._install_user_weights(
-                model, table, averager, initial_user_weights
-            )
+            self._install_user_weights(model, table, initial_user_weights)
+        self.rebuild_averager(model.name)
         if seed_observations:
             for observation in seed_observations:
                 log.append(observation)
 
-    def _install_user_weights(
-        self, model, table, averager, user_weights
-    ) -> None:
+    def _install_user_weights(self, model, table, user_weights) -> None:
         """Install offline-trained user weights as fresh pristine states.
 
         The bulk path: one columnar load per partition (a single
@@ -248,12 +243,9 @@ class ModelManager:
                     f"got {matrix.shape}"
                 )
             table.load_weight_rows(ids, matrix)
-            averager.update_many(ids, matrix)
             return
         for uid, weights in user_weights.items():
-            state = self._make_state(model, np.asarray(weights, float))
-            table.put(uid, state)
-            averager.update(uid, state.weights)
+            table.put(uid, self._make_state(model, np.asarray(weights, float)))
 
     def user_state_table(self, model_name: str):
         """The store table holding this model's per-user states."""
@@ -266,6 +258,14 @@ class ModelManager:
     def averager(self, model_name: str) -> UserWeightAverager:
         """The bootstrap weight averager for this model."""
         return self.averagers[model_name]
+
+    def rebuild_averager(self, model_name: str) -> None:
+        """Recompute the bootstrap mean from the user-state table in one
+        in-place pass: every user whose weights have the serving
+        model's dimension."""
+        dimension = self.registry.get(model_name).dimension
+        total, count = self.user_state_table(model_name).weight_sum(dimension)
+        self.averagers[model_name] = UserWeightAverager(dimension, total, count)
 
     # -- feedback ingestion (Listing 1's observe) ------------------------------
 
@@ -373,13 +373,19 @@ class ModelManager:
         before it. Touches neither the log nor health."""
         features, _hit, _latency = self.service.get_features(model, x, node_id)
         state = self._user_table_op(lambda: table.get_or_default(uid))
+        # Updaters assign new weights, so ``before`` keeps the old vector.
+        before = None if state is None else state.weights
         if state is None:
             state = self._bootstrap_state(model, model_name)
         prediction_before = state.predict(features)
         self.updater.update(state, features, float(y))
         state.weight_version += 1
         self._user_table_op(lambda: table.put(uid, state))
-        self.averagers[model_name].update(uid, state.weights)
+        averager = self.averagers[model_name]
+        if before is None:
+            averager.add(state.weights)
+        else:
+            averager.replace(before, state.weights)
         return prediction_before
 
     # -- retraining --------------------------------------------------------------
@@ -530,9 +536,7 @@ class ModelManager:
         if new_user_weights is not None:
             # Fresh user states: the retrained weights become the prior
             # so later online updates adapt from them.
-            averager = UserWeightAverager(new_model.dimension)
-            self.averagers[model_name] = averager
-            self._install_user_weights(new_model, table, averager, new_user_weights)
+            self._install_user_weights(new_model, table, new_user_weights)
             # Replay the observes acked since the snapshot, in log order,
             # against the new features. A tail user the new weights skip
             # restarts from its snapshot row (or the bootstrap), so each
@@ -544,6 +548,9 @@ class ModelManager:
                     table.delete(uid)
                 else:
                     table.put(uid, self._make_state(new_model, np.array(row, float)))
+            # Users the new weights skip keep theirs: the mean is over
+            # the whole table, and the replay below maintains it.
+            self.rebuild_averager(model_name)
             for o in tail:
                 node_id = self.cluster.router.route(o.uid).node_id
                 self._apply_update(

@@ -217,6 +217,11 @@ class PromotedPartitionView:
     def items(self) -> Iterator[tuple[object, object]]:
         return self.replica.items()
 
+    @property
+    def store(self) -> HybridStore:
+        """The promoted replica's store; weight reads go straight to it."""
+        return self.replica.store
+
     def put(self, key: object, value: object) -> int:
         stored = self.replica.store.route(key, value)
         version = self.replica.local_put(key, stored)

@@ -53,7 +53,8 @@ class Partition:
         self._failed = False
         #: failover delegate (duck-typed like this partition's mapping
         #: surface, but trafficking in *raw* values — SlabRow wrappers
-        #: for slab-resident entries). When set on a *failed* partition,
+        #: for slab-resident entries — plus the ``store`` weight reads
+        #: use). When set on a *failed* partition,
         #: reads and writes route through it instead of raising — the
         #: replication layer installs a promoted follower replica here
         #: so serving survives the owner node's loss.
@@ -161,60 +162,34 @@ class Partition:
             [(k, self._present_value(v)) for k, v in self._store.items_raw()]
         )
 
+    def _weight_store(self) -> HybridStore:
+        """The store the weight reads go to: this partition's own, or,
+        while failed, the promoted follower's."""
+        delegate = self._delegate()
+        if delegate is not None:
+            return delegate.store
+        self._check_alive()
+        return self._store
+
     def read_serving(self, key: object) -> WeightRead | None:
         """Fast-path weight read: the raw row plus a state shim, with no
         per-read decode. Requires a value policy."""
-        delegate = self._delegate()
-        if delegate is not None:
-            entry = delegate.get(key)
-            if entry is None:
-                return None
-            value, _version = entry
-            if isinstance(value, SlabRow):
-                return WeightRead(value.vector, self.value_policy.serving_state())
-            weights = self.value_policy.object_weights(value)
-            if weights is None:
-                return None
-            codec = self.value_policy.codec
-            return WeightRead(weights, value if codec is not None else None)
-        self._check_alive()
-        return self._store.read_weights(key)
+        return self._weight_store().read_weights(key)
 
     def read_serving_many(self, keys: list) -> dict:
         """Fast-path batch read: one fancy-index gather over the slab-
         resident subset of ``keys``."""
-        delegate = self._delegate()
-        if delegate is not None:
-            out = {}
-            for key in keys:
-                read = self.read_serving(key)
-                if read is not None:
-                    out[key] = read
-            return out
-        self._check_alive()
-        return self._store.read_weights_many(keys)
+        return self._weight_store().read_weights_many(keys)
 
     def export_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, matrix)`` copies of every entry's weight row — the
         offline phase's bulk read. Requires a value policy."""
-        delegate = self._delegate()
-        if delegate is not None:
-            keys, rows = [], []
-            for key, value in delegate.items():
-                value = self._present_value(value)
-                weights = self.value_policy.object_weights(value)
-                if weights is None:
-                    continue
-                keys.append(int(key))
-                rows.append(np.asarray(weights, dtype=self.value_policy.dtype))
-            if not keys:
-                empty = SlabSnapshot.empty(
-                    self.value_policy.rank, self.value_policy.dtype
-                )
-                return empty.keys, empty.rows
-            return np.asarray(keys, dtype=np.int64), np.stack(rows)
-        self._check_alive()
-        return self._store.export_weights()
+        return self._weight_store().export_weights()
+
+    def weight_sum(self, dimension: int) -> tuple[np.ndarray, int]:
+        """``(column sum, count)`` of the weight rows of ``dimension``
+        entries, read in place. Requires a value policy."""
+        return self._weight_store().weight_sum(dimension)
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes of this partition's live state."""

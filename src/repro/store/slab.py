@@ -182,6 +182,9 @@ class SlabStorage:
     full (amortized O(1) growth); per-row versions live in a parallel
     int64 array. Deleted rows go on a LIFO free list and are reused by
     later inserts. Keys are normalized to Python ints.
+
+    The row array may be a read-only array the slab shares (a journal
+    ``LOAD`` record it adopted): every row write first copies it.
     """
 
     __slots__ = ("rank", "dtype", "_rows", "_versions", "_index", "_free",
@@ -242,6 +245,11 @@ class SlabStorage:
         self._rows = rows
         self._versions = versions
 
+    def _own_rows(self) -> None:
+        """Copy shared read-only rows before the first write into them."""
+        if not self._rows.flags.writeable:
+            self._rows = np.array(self._rows)
+
     def _allocate(self, key: int) -> int:
         if self._free:
             row = self._free.pop()
@@ -275,6 +283,7 @@ class SlabStorage:
         row = self._index.get(key)
         if row is None:
             row = self._allocate(key)
+        self._own_rows()
         self._rows[row] = vector
         self._versions[row] = version
 
@@ -350,6 +359,7 @@ class SlabStorage:
                 return
             if self.capacity < n:
                 self._grow(n)
+            self._own_rows()
             self._rows[:n] = snapshot.rows
             self._versions[:n] = snapshot.versions
             self._high = n
@@ -374,6 +384,7 @@ class SlabStorage:
             if len(fresh) < n:
                 keys = [keys[i] for i in fresh.tolist()]
             self._index.update(zip(keys, rows))
+        self._own_rows()
         self._rows[targets] = snapshot.rows
         self._versions[targets] = snapshot.versions
 
@@ -381,10 +392,12 @@ class SlabStorage:
               versions: np.ndarray) -> None:
         """Take ownership of prepared arrays as the live slab.
 
-        The memory-mapped restore path: ``rows`` may be an
+        ``rows`` is used as is, at exact capacity: a bulk install's
+        read-only journal record (the first row write copies it), or an
         ``np.load(..., mmap_mode="c")`` array, so recovery maps the file
         instead of copying it and pages materialize copy-on-write as
-        rows are read or overwritten. The slab must be empty.
+        rows are read or overwritten. ``versions`` is copied (deletes
+        write it). The slab must be empty.
         """
         if self._index:
             raise ValueError("can only adopt arrays into an empty slab")
@@ -398,7 +411,16 @@ class SlabStorage:
         self._versions = np.array(versions, dtype=np.int64)
         self._high = n
         self._free = []
-        self._index = {int(k): i for i, k in enumerate(keys)}
+        self._index = dict(zip(np.asarray(keys).tolist(), range(n)))
+
+    def row_sum(self) -> np.ndarray:
+        """The column sum of every live row, read in place."""
+        live = self._rows[: self._high]
+        if not self._free:
+            return live.sum(axis=0)
+        mask = np.ones((self._high, 1), dtype=bool)
+        mask[self._free] = False
+        return live.sum(axis=0, where=mask)
 
 
 class HybridStore:
@@ -592,15 +614,23 @@ class HybridStore:
         versions.flags.writeable = False
         return SlabSnapshot(keys=keys, rows=rows, versions=versions)
 
-    def bulk_install(self, snapshot: SlabSnapshot, replace: bool = False) -> None:
-        """Apply a staged/replayed bulk load at its recorded versions."""
+    def bulk_install(self, snapshot: SlabSnapshot) -> None:
+        """Apply a staged/replayed bulk load at its recorded versions.
+
+        Into an empty slab the snapshot's read-only rows are adopted, not
+        copied: the journal's ``LOAD`` record and the live slab share one
+        array until the slab's first row write.
+        """
         if self.slab is None:
             raise ValueError("bulk slab loads need a slab-backed store")
         if self.objects:
             pop = self.objects.pop
             for key in snapshot.keys.tolist():
                 pop(key, None)
-        self.slab.load(snapshot, replace=replace)
+        if not len(self.slab) and not snapshot.rows.flags.writeable:
+            self.slab.adopt(snapshot.keys, snapshot.rows, snapshot.versions)
+        else:
+            self.slab.load(snapshot, replace=False)
 
     # -- export / import ------------------------------------------------
 
@@ -631,6 +661,23 @@ class HybridStore:
             self.slab.load(export.slab, replace=True)
         elif self.slab is not None:
             self.slab.clear()
+
+    def weight_sum(self, dimension: int) -> tuple[np.ndarray, int]:
+        """``(column sum, count)`` of every entry's weight row that has
+        ``dimension`` entries, read in place (no export copy)."""
+        if self.policy is None:
+            raise ValueError("weight_sum needs a slab policy")
+        total = np.zeros(dimension)
+        count = 0
+        if self.slab.rank == dimension:
+            total += self.slab.row_sum()
+            count = len(self.slab)
+        for value, _version in self.objects.values():
+            weights = self.policy.object_weights(value)
+            if weights is not None and np.shape(weights) == (dimension,):
+                total += weights
+                count += 1
+        return total, count
 
     def export_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, matrix)`` copies of every entry's weight row.

@@ -166,6 +166,13 @@ class Table:
             )
         return ArrayMapping(np.concatenate(key_parts), np.concatenate(row_parts))
 
+    def weight_sum(self, dimension: int) -> tuple[np.ndarray, int]:
+        """``(column sum, count)`` of every entry's weight row that has
+        ``dimension`` entries — one in-place pass, no exported copy.
+        Requires a ``value_policy``."""
+        totals, counts = zip(*(p.weight_sum(dimension) for p in self._partitions))
+        return np.sum(totals, axis=0), sum(counts)
+
     def load_weight_rows(self, keys, matrix) -> int:
         """Bulk-install weight rows (one journaled LOAD per partition).
 
