@@ -9,6 +9,7 @@ the *shape* claims from DESIGN.md, and writes the series to
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import numpy as np
@@ -18,6 +19,15 @@ from repro import Velox, VeloxConfig
 from repro.core.models import MatrixFactorizationModel
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+SMOKE_RESULTS_DIR = pathlib.Path(__file__).parent.parent / ".bench_out"
+
+
+def results_dir(smoke_flag: str) -> pathlib.Path:
+    """Where a summary writes its series: ``.bench_out/`` when the
+    environment sets ``smoke_flag``, so a smoke run never overwrites the
+    tracked record of a full run; ``benchmarks/results/`` otherwise."""
+    smoke = os.environ.get(smoke_flag, "") not in ("", "0")
+    return SMOKE_RESULTS_DIR if smoke else RESULTS_DIR
 
 
 def write_result(

@@ -9,6 +9,9 @@ reports hit rates and mean serving latency.
 
 Shape assertions: hit rate increases monotonically with skew, and the
 heavily-skewed workload clears a high absolute hit rate.
+
+Set ``CACHE_SKEW_SMOKE=1`` to write the series under ``.bench_out/``
+instead of ``benchmarks/results/`` (the CI form: the same assertions).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 from repro.metrics import LatencyRecorder
 from repro.workloads import ZipfItemSampler
 
-from conftest import build_mf_serving, write_result
+from conftest import build_mf_serving, results_dir, write_result
 
 NUM_ITEMS = 2000
 CACHE_CAPACITY = 200  # 10% of the catalog — misses must happen
@@ -59,7 +62,7 @@ def test_cache_skew_summary(benchmark):
     for skew in SKEWS:
         hit_rate, latency = results[skew]
         lines.append(f"{skew:<8.1f}{hit_rate:<10.3f}{latency:.6f}")
-    write_result("ablation_cache_skew", lines)
+    write_result("ablation_cache_skew", lines, results_dir("CACHE_SKEW_SMOKE"))
 
     hit_rates = [results[s][0] for s in SKEWS]
     # Shape: monotone in skew.

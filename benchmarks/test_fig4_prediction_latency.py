@@ -11,6 +11,9 @@ Shape assertions:
 * the slope grows with d (bigger models cost more per item),
 * the warm prediction cache is flat and cheapest — the benefit of
   caching grows with model size.
+
+Set ``FIG4_SMOKE=1`` to write the series under ``.bench_out/`` instead of
+``benchmarks/results/`` (the CI form: the same shape assertions).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from repro.metrics import LatencyRecorder
 from repro.workloads import ZipfItemSampler
 
-from conftest import build_mf_serving, write_result
+from conftest import build_mf_serving, results_dir, write_result
 
 NUM_ITEMS = 1200
 ITEMSET_SIZES = [100, 250, 500, 1000]
@@ -131,7 +134,7 @@ def test_fig4_summary(benchmark):
             row += f"{series[dimension][size]:<10.6f}"
         row += f"{cache_means[size]:.6f}"
         lines.append(row)
-    write_result("fig4_prediction_latency", lines)
+    write_result("fig4_prediction_latency", lines, results_dir("FIG4_SMOKE"))
 
     # Shape: roughly linear growth in itemset size for every dimension.
     for dimension in DIMENSIONS:

@@ -556,7 +556,7 @@ class ModelManager:
                 self._apply_update(
                     new_model, model_name, table, node_id, o.uid, o.item_data, o.label
                 )
-        repopulated = self._repopulate_caches(
+        repopulated = self.service.repopulate(
             new_model, snapshot.hot_features, snapshot.hot_predictions, table
         )
         self.health[model_name].reset_after_retrain()
@@ -570,43 +570,6 @@ class ModelManager:
             replayed_observations=len(tail),
             **(batch_profile or {}),
         )
-
-    def _repopulate_caches(self, model, hot_features, hot_predictions, table) -> int:
-        """Recompute previously-cached entries under the new model.
-
-        Computed-feature cache keys are content digests whose raw inputs
-        are gone, so only materialized (item-id-keyed) entries can be
-        rebuilt — the same practical limit the paper notes when
-        discussing hot-set drift after retraining.
-        """
-        self.service.invalidate_model(model.name)
-        repopulated = 0
-        for node_id, item_key in hot_features:
-            if isinstance(item_key, (int, np.integer)) and model.materialized:
-                if 0 <= int(item_key) < getattr(model, "num_items", 0):
-                    self.service.warm_feature_cache(node_id, model, int(item_key))
-                    repopulated += 1
-        for node_id, uid, item_key in hot_predictions:
-            if not (isinstance(item_key, (int, np.integer)) and model.materialized):
-                continue
-            if not 0 <= int(item_key) < getattr(model, "num_items", 0):
-                continue
-            state = table.get_or_default(uid)
-            if state is None:
-                continue
-            features = model.features(int(item_key))
-            score = float(state.weights @ features)
-            self.service.warm_prediction_cache(
-                node_id,
-                model,
-                uid,
-                state.weight_version,
-                int(item_key),
-                score,
-                uncertainty=state.uncertainty(features),
-            )
-            repopulated += 1
-        return repopulated
 
     # -- lifecycle ------------------------------------------------------------------
 

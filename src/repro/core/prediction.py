@@ -9,7 +9,8 @@ Implements the serving half of the architecture (paper Section 5):
   miss, since the feature table is partitioned across the cluster),
 * final scores are served through a per-node **prediction cache** keyed
   by (model, version, uid, item) — the 100%-hit configuration of this
-  cache is Figure 4's ``cache`` series,
+  cache is Figure 4's ``cache`` series — for the models whose scoring
+  costs more than a hit (:func:`caches_predictions`),
 * ``top_k`` accepts a bandit policy that ranks by score-plus-uncertainty
   rather than raw score (Section 5, "Bandits and Multiple Models").
 """
@@ -60,6 +61,26 @@ def item_cache_key(x: object) -> object:
     raise ValidationError(f"cannot derive a cache key for item input {x!r}")
 
 
+#: Feature dimension from which a materialized model's predictions are
+#: cached. Below it a prediction is one feature row and a d-wide dot
+#: product, and a hit saves too little to pay for the misses (DESIGN.md
+#: §4, "Which models cache predictions").
+PREDICTION_CACHE_MIN_DIMENSION = 1024
+
+
+def caches_predictions(model) -> bool:
+    """Whether ``model``'s predictions go through the prediction cache:
+    computed features always, a materialized row only when wide."""
+    return not model.materialized or model.dimension >= PREDICTION_CACHE_MIN_DIMENSION
+
+
+def _prediction_key(model, uid: int, state, item_key: object) -> tuple:
+    """The prediction-cache key. The user's weight_version is part of
+    it, so entries from before an online weight update never hit."""
+    weight_version = state.weight_version if state is not None else 0
+    return (model.name, model.version, uid, weight_version, item_key)
+
+
 @dataclass(frozen=True)
 class PredictionResult:
     """One scored item, with serving provenance for the benchmarks."""
@@ -75,6 +96,18 @@ class PredictionResult:
     #: that had not received the full journal at promotion time — the
     #: bounded-staleness flag replication surfaces to clients.
     stale: bool = False
+
+
+def _cached_result(
+    x: object, cached: tuple, node_id: int, latency: float, stale: bool
+) -> PredictionResult:
+    """A prediction-cache hit. Entries carry (score, uncertainty) so
+    bandit policies keep working across hits."""
+    score, uncertainty = cached
+    return PredictionResult(
+        x, score, uncertainty, node_id, prediction_cache_hit=True,
+        modeled_network_latency=latency, stale=stale,
+    )
 
 
 class PredictionService:
@@ -251,28 +284,16 @@ class PredictionService:
         model = self.registry.get(model_name)
         node = self.cluster.router.route(uid)
         node.stats.requests_served += 1
-        prediction_cache = self.prediction_caches[node.node_id]
         # User weights are read first (a local lookup under user-aware
-        # routing); the user's weight_version is part of the cache key,
-        # so entries from before an online weight update never hit.
+        # routing): their version keys the prediction cache.
         weights, state, user_latency = self._user_weights(model, uid, node.node_id)
         stale = self._read_is_stale(uid)
-        weight_version = state.weight_version if state is not None else 0
-        cache_key = (model.name, model.version, uid, weight_version, item_cache_key(x))
-        cached = prediction_cache.get(cache_key)
-        if cached is not None:
-            # Entries carry (score, uncertainty) so bandit policies keep
-            # working across cache hits.
-            cached_score, cached_uncertainty = cached
-            return PredictionResult(
-                item=x,
-                score=cached_score,
-                uncertainty=cached_uncertainty,
-                node_id=node.node_id,
-                prediction_cache_hit=True,
-                modeled_network_latency=user_latency,
-                stale=stale,
-            )
+        cache_key = None
+        if caches_predictions(model):
+            cache_key = _prediction_key(model, uid, state, item_cache_key(x))
+            cached = self.prediction_caches[node.node_id].get(cache_key)
+            if cached is not None:
+                return _cached_result(x, cached, node.node_id, user_latency, stale)
         features, feature_hit, item_latency = self.get_features(
             model, x, node.node_id
         )
@@ -280,7 +301,8 @@ class PredictionService:
             node.stats.remote_feature_fetches += int(item_latency > 0)
         score = float(weights @ features)
         uncertainty = state.uncertainty(features) if state is not None else 0.0
-        prediction_cache.put(cache_key, (score, uncertainty))
+        if cache_key is not None:
+            self.prediction_caches[node.node_id].put(cache_key, (score, uncertainty))
         return PredictionResult(
             item=x,
             score=score,
@@ -298,11 +320,11 @@ class PredictionService:
 
         The vectorized fast path behind the serving engine's adaptive
         batcher: user weights and item features are each looked up once
-        per distinct key across the batch, and every prediction-cache
-        miss is scored by a single stacked numpy product instead of N
-        scalar ``predict`` calls. Results are positionally aligned with
-        the inputs and identical (within float tolerance) to N scalar
-        ``predict`` calls.
+        per distinct key across the batch, and every row the prediction
+        cache does not answer is scored by a single stacked numpy product
+        instead of N scalar ``predict`` calls. Results are positionally
+        aligned with the inputs and identical (within float tolerance) to
+        N scalar ``predict`` calls.
         """
         if len(user_ids) != len(xs):
             raise ValidationError(
@@ -350,29 +372,24 @@ class PredictionService:
                 )
                 stale_by_uid[uid] = self._read_is_stale(uid)
         results: list[PredictionResult | None] = [None] * n
-        misses: list[tuple[int, tuple]] = []  # (batch index, cache key)
-        for i, (uid, x) in enumerate(zip(user_ids, xs)):
-            weights, state, user_latency = weights_by_uid[uid]
-            weight_version = state.weight_version if state is not None else 0
-            cache_key = (
-                model.name, model.version, uid, weight_version, item_keys[i]
-            )
-            cached = self.prediction_caches[nodes[i].node_id].get(cache_key)
-            if cached is not None:
-                cached_score, cached_uncertainty = cached
-                results[i] = PredictionResult(
-                    item=x,
-                    score=cached_score,
-                    uncertainty=cached_uncertainty,
-                    node_id=nodes[i].node_id,
-                    prediction_cache_hit=True,
-                    modeled_network_latency=user_latency,
-                    stale=stale_by_uid[uid],
-                )
-            else:
-                misses.append((i, cache_key))
-        if not misses:
-            return results
+        # (batch index, cache key): the rows left to score.
+        misses: list[tuple[int, tuple | None]] = []
+        if caches_predictions(model):
+            for i, uid in enumerate(user_ids):
+                _, state, user_latency = weights_by_uid[uid]
+                cache_key = _prediction_key(model, uid, state, item_keys[i])
+                cached = self.prediction_caches[nodes[i].node_id].get(cache_key)
+                if cached is None:
+                    misses.append((i, cache_key))
+                else:
+                    results[i] = _cached_result(
+                        xs[i], cached, nodes[i].node_id, user_latency,
+                        stale_by_uid[uid],
+                    )
+            if not misses:
+                return results
+        else:
+            misses = [(i, None) for i in range(n)]
         # One feature fetch per distinct (node, item) among the misses.
         features_by_key: dict[tuple, tuple] = {}
         for i, _ in misses:
@@ -398,9 +415,10 @@ class PredictionService:
             uncertainty = (
                 state.uncertainty(features) if state is not None else 0.0
             )
-            self.prediction_caches[nodes[i].node_id].put(
-                cache_key, (score, uncertainty)
-            )
+            if cache_key is not None:
+                self.prediction_caches[nodes[i].node_id].put(
+                    cache_key, (score, uncertainty)
+                )
             results[i] = PredictionResult(
                 item=xs[i],
                 score=score,
@@ -418,7 +436,9 @@ class PredictionService:
         """Prediction-cache-only lookup: a hit or ``None``, never compute.
 
         The degraded serving path used under overload — answers what the
-        cache already knows without paying feature or scoring cost.
+        cache already knows without paying feature or scoring cost. A
+        model that does not cache (:func:`caches_predictions`) always
+        answers ``None``, without a read or a cache lock.
         """
         return self._serve_with_failover(
             lambda: self._predict_cached(model_name, uid, x)
@@ -428,29 +448,19 @@ class PredictionService:
         self, model_name: str, uid: int, x: object
     ) -> PredictionResult | None:
         model = self.registry.get(model_name)
+        if not caches_predictions(model):
+            return None
         node = self.cluster.router.route(uid)
-        table = self._user_state_table_for(model.name)
-        read = table.read_weights(uid)
-        weight_version = (
-            read.state.weight_version
-            if read is not None and read.state is not None else 0
-        )
-        cache_key = (
-            model.name, model.version, uid, weight_version, item_cache_key(x)
+        read = self._user_state_table_for(model.name).read_weights(uid)
+        cache_key = _prediction_key(
+            model, uid, read.state if read is not None else None,
+            item_cache_key(x),
         )
         cached = self.prediction_caches[node.node_id].get(cache_key)
         if cached is None:
             return None
         node.stats.requests_served += 1
-        cached_score, cached_uncertainty = cached
-        return PredictionResult(
-            item=x,
-            score=cached_score,
-            uncertainty=cached_uncertainty,
-            node_id=node.node_id,
-            prediction_cache_hit=True,
-            stale=self._read_is_stale(uid),
-        )
+        return _cached_result(x, cached, node.node_id, 0.0, self._read_is_stale(uid))
 
     def top_k_cached(
         self,
@@ -462,17 +472,16 @@ class PredictionService:
     ) -> list[PredictionResult]:
         """Best-k among the *cached* subset of the candidates.
 
-        May return fewer than ``k`` results (or none on a cold cache):
-        graceful degradation under overload trades coverage for bounded
-        latency.
+        May return fewer than ``k`` results (or none on a cold cache, or
+        for a model that does not cache): graceful degradation under
+        overload trades coverage for bounded latency.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        results = []
-        for x in items:
-            cached = self.predict_cached(model_name, uid, x)
-            if cached is not None:
-                results.append(cached)
+        if not caches_predictions(self.registry.get(model_name)):
+            return []
+        hits = (self.predict_cached(model_name, uid, x) for x in items)
+        results = [hit for hit in hits if hit is not None]
         active_policy = policy if policy is not None else GreedyPolicy()
         ranked = sorted(
             results,
@@ -502,9 +511,9 @@ class PredictionService:
 
         Scoring runs through the vectorized :meth:`predict_batch` path:
         one user-weight lookup for the whole candidate set and one
-        stacked numpy product over every prediction-cache miss, instead
-        of a Python loop of scalar ``predict`` calls. Results are
-        identical (within float tolerance) to the scalar loop.
+        stacked numpy product over every row the prediction cache does
+        not answer, instead of a Python loop of scalar ``predict`` calls.
+        Results are identical (within float tolerance) to the scalar loop.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -579,37 +588,55 @@ class PredictionService:
         return pairs
 
     def cached_predictions(self, model_name: str) -> list[tuple[int, int, object]]:
-        """(node_id, uid, item_key) triples currently in prediction caches."""
+        """(node_id, uid, item_key) triples currently in prediction caches
+        (none, and no key scan, for a model that does not cache)."""
         triples = []
+        if not caches_predictions(self.registry.get(model_name)):
+            return triples
         for node_id, cache in enumerate(self.prediction_caches):
             for key in cache.keys():
                 if key[0] == model_name:
                     triples.append((node_id, key[2], key[4]))
         return triples
 
-    def warm_prediction_cache(
-        self,
-        node_id: int,
-        model,
-        uid: int,
-        weight_version: int,
-        item_key: object,
-        score: float,
-        uncertainty: float = 0.0,
-    ) -> None:
-        """Insert a precomputed prediction (cache repopulation on swap)."""
-        cache = self.prediction_caches[node_id]
-        cache.put(
-            (model.name, model.version, uid, weight_version, item_key),
-            (score, uncertainty),
-        )
+    def repopulate(self, model, hot_features, hot_predictions, table) -> int:
+        """Drop ``model``'s entries, then rebuild the hot set under it
+        (the swap after a retrain, paper Section 4.2); returns the count.
 
-    def warm_feature_cache(self, node_id: int, model, x: object) -> None:
-        """Precompute f(x) into a node's cache (repopulation after
-        retraining, paper Section 4.2)."""
-        cache = self.feature_caches[node_id]
-        key = (model.name, model.version, item_cache_key(x))
-        cache.put(key, model.validate_features(model.features(x)))
+        Computed-feature keys are content digests whose raw inputs are
+        gone, so only materialized (item-id-keyed) entries are rebuilt,
+        the practical limit the paper notes for hot-set drift after
+        retraining; predictions only for a model that caches them.
+        """
+        self.invalidate_model(model.name)
+        if not model.materialized:
+            return 0
+        num_items = getattr(model, "num_items", 0)
+
+        def in_catalog(item) -> bool:
+            return isinstance(item, (int, np.integer)) and 0 <= item < num_items
+
+        repopulated = 0
+        for node_id, item in hot_features:
+            if in_catalog(item):
+                self.feature_caches[node_id].put(
+                    (model.name, model.version, int(item)),
+                    model.validate_features(model.features(int(item))),
+                )
+                repopulated += 1
+        if not caches_predictions(model):
+            return repopulated
+        for node_id, uid, item in hot_predictions:
+            state = table.get_or_default(uid) if in_catalog(item) else None
+            if state is None:
+                continue
+            features = model.features(int(item))
+            self.prediction_caches[node_id].put(
+                _prediction_key(model, uid, state, int(item)),
+                (float(state.weights @ features), state.uncertainty(features)),
+            )
+            repopulated += 1
+        return repopulated
 
     def cache_stats(self) -> dict:
         """Aggregate cache statistics across nodes."""

@@ -465,60 +465,68 @@ def encode_request_frame(request, corr_id: int) -> bytes:
 
 
 def decode_request_payload(opcode: int, payload: bytes):
-    """One frame's opcode + payload -> one API request object."""
-    cursor = _Cursor(payload)
-    if opcode == OP_PREDICT:
-        uid, item, model, deadline, degraded = (
-            unpack_value(cursor) for _ in range(5)
-        )
-        return PredictApiRequest(
-            uid=int(uid), item=item, model=model,
-            deadline=None if deadline is None else float(deadline),
-            degraded=bool(degraded),
-        )
-    if opcode == OP_TOP_K:
-        uid, k, model, policy, items, deadline, degraded = (
-            unpack_value(cursor) for _ in range(7)
-        )
-        return TopKApiRequest(
-            uid=int(uid), items=tuple(items), k=int(k), model=model,
-            policy=policy,
-            deadline=None if deadline is None else float(deadline),
-            degraded=bool(degraded),
-        )
-    if opcode == OP_OBSERVE:
-        uid, item, label, model, validation = (
-            unpack_value(cursor) for _ in range(5)
-        )
-        return ObserveApiRequest(
-            uid=int(uid), item=item, label=float(label), model=model,
-            validation=bool(validation),
-        )
-    if opcode == OP_HEALTH:
-        return HealthApiRequest(model=unpack_value(cursor))
-    if opcode == OP_RETRAIN:
-        model, reason = unpack_value(cursor), unpack_value(cursor)
-        return RetrainApiRequest(model=model, reason=reason)
-    if opcode == OP_TOP_K_CATALOG:
-        uid, k, model = (unpack_value(cursor) for _ in range(3))
-        return TopKCatalogApiRequest(uid=int(uid), k=int(k), model=model)
-    if opcode == OP_STATUS:
-        return StatusApiRequest()
-    if opcode == OP_ANALYTICS:
-        uid, item, time_start, time_end, group_by, agg, force_scan, model = (
-            unpack_value(cursor) for _ in range(8)
-        )
-        return AnalyticsApiRequest(
-            uid=None if uid is None else int(uid),
-            item=None if item is None else int(item),
-            time_start=None if time_start is None else float(time_start),
-            time_end=None if time_end is None else float(time_end),
-            group_by=group_by,
-            agg=agg,
-            force_scan=bool(force_scan),
-            model=model,
-        )
-    raise ValidationError(f"unknown request opcode {opcode}")
+    """One frame's opcode + payload -> one API request object. Raises
+    only TransportError (bytes that are no valid terms) or ValidationError
+    (terms that make no valid request): converted once here, so the
+    per-value decode pays nothing for it."""
+    try:
+        cursor = _Cursor(payload)
+        if opcode == OP_PREDICT:
+            uid, item, model, deadline, degraded = (
+                unpack_value(cursor) for _ in range(5)
+            )
+            return PredictApiRequest(
+                uid=int(uid), item=item, model=model,
+                deadline=None if deadline is None else float(deadline),
+                degraded=bool(degraded),
+            )
+        if opcode == OP_TOP_K:
+            uid, k, model, policy, items, deadline, degraded = (
+                unpack_value(cursor) for _ in range(7)
+            )
+            return TopKApiRequest(
+                uid=int(uid), items=tuple(items), k=int(k), model=model,
+                policy=policy,
+                deadline=None if deadline is None else float(deadline),
+                degraded=bool(degraded),
+            )
+        if opcode == OP_OBSERVE:
+            uid, item, label, model, validation = (
+                unpack_value(cursor) for _ in range(5)
+            )
+            return ObserveApiRequest(
+                uid=int(uid), item=item, label=float(label), model=model,
+                validation=bool(validation),
+            )
+        if opcode == OP_HEALTH:
+            return HealthApiRequest(model=unpack_value(cursor))
+        if opcode == OP_RETRAIN:
+            model, reason = unpack_value(cursor), unpack_value(cursor)
+            return RetrainApiRequest(model=model, reason=reason)
+        if opcode == OP_TOP_K_CATALOG:
+            uid, k, model = (unpack_value(cursor) for _ in range(3))
+            return TopKCatalogApiRequest(uid=int(uid), k=int(k), model=model)
+        if opcode == OP_STATUS:
+            return StatusApiRequest()
+        if opcode == OP_ANALYTICS:
+            uid, item, time_start, time_end, group_by, agg, force_scan, model = (
+                unpack_value(cursor) for _ in range(8)
+            )
+            return AnalyticsApiRequest(
+                uid=None if uid is None else int(uid),
+                item=None if item is None else int(item),
+                time_start=None if time_start is None else float(time_start),
+                time_end=None if time_end is None else float(time_end),
+                group_by=group_by,
+                agg=agg,
+                force_scan=bool(force_scan),
+                model=model,
+            )
+        raise ValidationError(f"unknown request opcode {opcode}")
+    except (RecursionError, UnicodeDecodeError) as err:
+        raise TransportError(f"corrupt request payload: {err}") from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"malformed request: {err}") from err
 
 
 def encode_response_frame(response: ApiResponse, corr_id: int) -> bytes:

@@ -13,6 +13,7 @@ from repro import Velox, VeloxConfig
 from repro.batch import BatchContext
 from repro.core.models import MatrixFactorizationModel
 from repro.core.offline import als_train
+from repro.core.prediction import PREDICTION_CACHE_MIN_DIMENSION
 from repro.data import SynthLensConfig, generate_synthlens, paper_protocol_split
 
 
@@ -48,10 +49,17 @@ def trained_als(small_split):
     )
 
 
-def make_mf_model(als_result, name: str = "songs") -> MatrixFactorizationModel:
+def make_mf_model(
+    als_result, name: str = "songs", dimension: int | None = None
+) -> MatrixFactorizationModel:
+    """The trained model; a ``dimension`` wider than the trained one
+    pads the factors with zeros, which leaves every score unchanged."""
+    factors = als_result.item_factors
+    if dimension is not None:
+        factors = np.pad(factors, ((0, 0), (0, dimension - 2 - factors.shape[1])))
     return MatrixFactorizationModel(
         name,
-        als_result.item_factors,
+        factors,
         als_result.item_bias,
         als_result.global_mean,
     )
@@ -60,20 +68,32 @@ def make_mf_model(als_result, name: str = "songs") -> MatrixFactorizationModel:
 def make_initial_weights(model: MatrixFactorizationModel, als_result) -> dict:
     return {
         uid: model.pack_user_weights(
-            als_result.user_factors[uid], als_result.user_bias[uid]
+            np.pad(factors, (0, model.rank - len(factors))),
+            als_result.user_bias[uid],
         )
-        for uid in als_result.user_factors
+        for uid, factors in als_result.user_factors.items()
     }
+
+
+def _deploy_trained(model: MatrixFactorizationModel, als_result) -> Velox:
+    velox = Velox.deploy(VeloxConfig(num_nodes=2), auto_retrain=False)
+    velox.add_model(model, initial_user_weights=make_initial_weights(model, als_result))
+    return velox
 
 
 @pytest.fixture
 def deployed_velox(trained_als):
-    """A fresh 2-node deployment with the trained MF model installed."""
-    model = make_mf_model(trained_als)
-    weights = make_initial_weights(model, trained_als)
-    velox = Velox.deploy(VeloxConfig(num_nodes=2), auto_retrain=False)
-    velox.add_model(model, initial_user_weights=weights)
-    return velox
+    """A fresh 2-node deployment with the trained MF model installed.
+    At d = 7 it scores directly: its predictions are never cached."""
+    return _deploy_trained(make_mf_model(trained_als), trained_als)
+
+
+@pytest.fixture
+def caching_velox(trained_als):
+    """``deployed_velox`` with the model zero-padded to the width from
+    which predictions are cached: the same scores, through the cache."""
+    model = make_mf_model(trained_als, dimension=PREDICTION_CACHE_MIN_DIMENSION)
+    return _deploy_trained(model, trained_als)
 
 
 @pytest.fixture

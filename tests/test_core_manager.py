@@ -7,6 +7,8 @@ from repro import Velox, VeloxConfig
 from repro.common.errors import ValidationError
 from repro.core.manager import ModelHealth
 from repro.core.model import VeloxModel
+from repro.core.models import MatrixFactorizationModel
+from repro.store import ArrayMapping
 from tests.conftest import make_initial_weights, make_mf_model
 
 
@@ -235,6 +237,39 @@ class TestRetrain:
         if running is not None:
             running.result(timeout=60)
         assert velox.model().version == 1
+
+
+class TestSwapRepopulation:
+    def test_swap_repopulates_no_cheap_model_predictions(self):
+        """A model that scores directly keeps no predictions, so the
+        swap rebuilds its feature entries and nothing else."""
+        rng = np.random.default_rng(11)
+        users, items, rank = 20_000, 2_000, 32
+        model = MatrixFactorizationModel(
+            "bench",
+            rng.normal(0, 0.1, (items, rank)),
+            rng.normal(0, 0.1, items),
+            3.5,
+        )
+        velox = Velox.deploy(auto_retrain=False)
+        velox.add_model(
+            model,
+            initial_user_weights=ArrayMapping(
+                np.arange(users), rng.normal(0, 0.1, (users, rank + 2))
+            ),
+        )
+        pairs = rng.choice(users * items, 50_000, replace=False)
+        uids, xs = (pairs // items).tolist(), (pairs % items).tolist()
+        for start in range(0, len(pairs), 500):
+            velox.service.predict_batch(
+                "bench", uids[start : start + 500], xs[start : start + 500]
+            )
+        for uid, item in zip(uids[:200], xs[:200]):
+            velox.observe(uid=uid, x=item, y=4.0)
+        event = velox.manager.retrain_now("bench")
+        assert velox.service.cached_predictions("bench") == []
+        features = sum(len(cache) for cache in velox.service.feature_caches)
+        assert event.caches_repopulated == features > 0
 
 
 class TestRollback:

@@ -6,7 +6,12 @@ import pytest
 from repro import Velox, VeloxConfig
 from repro.common.errors import UserNotFoundError, ValidationError
 from repro.core.bandits import GreedyPolicy, LinUcbPolicy
-from repro.core.prediction import item_cache_key
+from repro.core.models import MatrixFactorizationModel, PersonalizedLinearModel
+from repro.core.prediction import (
+    PREDICTION_CACHE_MIN_DIMENSION,
+    caches_predictions,
+    item_cache_key,
+)
 from tests.conftest import make_initial_weights, make_mf_model
 
 
@@ -49,28 +54,28 @@ class TestPredict:
 
 
 class TestPredictionCache:
-    def test_second_call_hits(self, deployed_velox):
-        first = deployed_velox.predict_detailed(None, 1, 7)
-        second = deployed_velox.predict_detailed(None, 1, 7)
+    def test_second_call_hits(self, caching_velox):
+        first = caching_velox.predict_detailed(None, 1, 7)
+        second = caching_velox.predict_detailed(None, 1, 7)
         assert not first.prediction_cache_hit
         assert second.prediction_cache_hit
         assert second.score == first.score
 
-    def test_observe_invalidates_user_predictions(self, deployed_velox):
-        before = deployed_velox.predict_detailed(None, 1, 7)
-        deployed_velox.observe(uid=1, x=7, y=5.0)
-        after = deployed_velox.predict_detailed(None, 1, 7)
+    def test_observe_invalidates_user_predictions(self, caching_velox):
+        before = caching_velox.predict_detailed(None, 1, 7)
+        caching_velox.observe(uid=1, x=7, y=5.0)
+        after = caching_velox.predict_detailed(None, 1, 7)
         assert not after.prediction_cache_hit  # weight_version changed
         assert after.score != pytest.approx(before.score)
 
-    def test_other_users_cache_untouched_by_observe(self, deployed_velox):
-        deployed_velox.predict_detailed(None, 2, 7)
-        deployed_velox.observe(uid=1, x=7, y=5.0)
-        again = deployed_velox.predict_detailed(None, 2, 7)
+    def test_other_users_cache_untouched_by_observe(self, caching_velox):
+        caching_velox.predict_detailed(None, 2, 7)
+        caching_velox.observe(uid=1, x=7, y=5.0)
+        again = caching_velox.predict_detailed(None, 2, 7)
         assert again.prediction_cache_hit
 
     def test_disabled_cache_never_hits(self, trained_als):
-        model = make_mf_model(trained_als)
+        model = make_mf_model(trained_als, dimension=PREDICTION_CACHE_MIN_DIMENSION)
         velox = Velox.deploy(
             VeloxConfig(num_nodes=2, prediction_cache_capacity=0),
             auto_retrain=False,
@@ -79,6 +84,29 @@ class TestPredictionCache:
         velox.predict(None, 1, 7)
         result = velox.predict_detailed(None, 1, 7)
         assert not result.prediction_cache_hit
+
+
+class TestWhichModelsCache:
+    @pytest.mark.parametrize("dimension, cached", [(34, 0), (2048, 6)])
+    def test_only_wide_materialized_models_fill_the_prediction_cache(
+        self, dimension, cached
+    ):
+        rng = np.random.default_rng(dimension)
+        model = MatrixFactorizationModel(
+            "m", rng.normal(0, 0.1, (20, dimension - 2)), None, 3.0
+        )
+        velox = Velox.deploy(VeloxConfig(num_nodes=2), auto_retrain=False)
+        velox.add_model(
+            model, {uid: rng.normal(0, 0.1, dimension) for uid in range(4)}
+        )
+        velox.predict(None, 1, 3)
+        velox.service.predict_batch("m", [1, 2], [4, 5])
+        velox.top_k(None, 2, [6, 7, 8], k=2)
+        assert caches_predictions(model) == bool(cached)
+        assert sum(len(c) for c in velox.service.prediction_caches) == cached
+
+    def test_computed_features_always_cache(self):
+        assert caches_predictions(PersonalizedLinearModel("lin", 3))
 
 
 class TestFeatureCache:
@@ -92,13 +120,13 @@ class TestFeatureCache:
         result = deployed_velox.predict_detailed(None, 1, 9)  # node 1
         assert not result.feature_cache_hit
 
-    def test_remote_feature_fetch_charged_on_miss_only(self, deployed_velox):
+    def test_remote_feature_fetch_charged_on_miss_only(self, caching_velox):
         item = 11
-        node = deployed_velox.cluster.owner_of_item(item)
+        node = caching_velox.cluster.owner_of_item(item)
         # pick a user served by the *other* node
         uid = 1 if node == 0 else 0
-        first = deployed_velox.predict_detailed(None, uid, item)
-        second = deployed_velox.predict_detailed(None, uid, item + 0)
+        first = caching_velox.predict_detailed(None, uid, item)
+        second = caching_velox.predict_detailed(None, uid, item + 0)
         assert first.modeled_network_latency > 0
         assert second.prediction_cache_hit  # no new fetch at all
 
@@ -179,22 +207,22 @@ class TestTopK:
             == []
         )
 
-    def test_uncertainty_survives_prediction_cache(self, deployed_velox):
+    def test_uncertainty_survives_prediction_cache(self, caching_velox):
         """Bandit policies must keep working on cached predictions —
         a cache hit that dropped uncertainty would silently degrade
         LinUCB to greedy (regression test)."""
-        first = deployed_velox.predict_detailed(None, 2, 9)
-        second = deployed_velox.predict_detailed(None, 2, 9)
+        first = caching_velox.predict_detailed(None, 2, 9)
+        second = caching_velox.predict_detailed(None, 2, 9)
         assert second.prediction_cache_hit
         assert second.uncertainty == pytest.approx(first.uncertainty)
         assert second.uncertainty > 0
 
-    def test_top_k_uses_prediction_cache(self, deployed_velox):
+    def test_top_k_uses_prediction_cache(self, caching_velox):
         items = list(range(10))
-        deployed_velox.top_k(None, 5, items, k=3)
-        stats_before = deployed_velox.service.cache_stats()["prediction_hits"]
-        deployed_velox.top_k(None, 5, items, k=3)
-        stats_after = deployed_velox.service.cache_stats()["prediction_hits"]
+        caching_velox.top_k(None, 5, items, k=3)
+        stats_before = caching_velox.service.cache_stats()["prediction_hits"]
+        caching_velox.top_k(None, 5, items, k=3)
+        stats_after = caching_velox.service.cache_stats()["prediction_hits"]
         assert stats_after - stats_before == 10
 
 

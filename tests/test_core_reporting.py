@@ -32,10 +32,10 @@ class TestSnapshot:
         assert model.health_observations == 4
         assert model.recent_loss is not None
 
-    def test_cache_hit_rates(self, deployed_velox):
-        deployed_velox.predict(None, 1, 3)
-        deployed_velox.predict(None, 1, 3)  # prediction cache hit
-        status = reporting.snapshot(deployed_velox)
+    def test_cache_hit_rates(self, caching_velox):
+        caching_velox.predict(None, 1, 3)
+        caching_velox.predict(None, 1, 3)  # prediction cache hit
+        status = reporting.snapshot(caching_velox)
         assert status.prediction_cache_hit_rate > 0
 
     def test_retrain_and_multiple_models_counted(self, deployed_velox, small_split):

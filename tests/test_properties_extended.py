@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.prediction import PREDICTION_CACHE_MIN_DIMENSION
 from repro.core.selection import EpsilonGreedySelector, Exp3Selector, HedgeSelector
 from repro.core.topk import BlockedMatrixTopK, NaiveTopK, ThresholdTopK
 from repro.sampling import StratifiedSampler, sample_observations
@@ -171,18 +172,18 @@ class TestScalarLegEqualsBatchedLeg:
     """``service.predict`` answers the reactor's inline serves;
     ``predict_batch`` answers the same lone request when a worker takes
     it. Two copies of one deployment, driven by the same operations, one
-    through each leg."""
+    through each leg; at the wider dimension the model caches predictions."""
 
     KNOWN, PRISTINE, UNKNOWN = range(0, 3), range(3, 6), range(100, 103)
 
     @staticmethod
-    def _deploy(seed: int, cache_capacity: int):
+    def _deploy(seed: int, cache_capacity: int, dimension: int):
         from repro import Velox, VeloxConfig
         from repro.core.models import MatrixFactorizationModel
 
         rng = np.random.default_rng(seed)
         model = MatrixFactorizationModel(
-            "m", rng.normal(size=(8, 3)), rng.normal(size=8), 3.0
+            "m", rng.normal(size=(8, dimension - 2)), rng.normal(size=8), 3.0
         )
         velox = Velox.deploy(
             VeloxConfig(num_nodes=2, prediction_cache_capacity=cache_capacity),
@@ -201,6 +202,7 @@ class TestScalarLegEqualsBatchedLeg:
     @given(
         seed=st.integers(0, 1_000),
         cache_capacity=st.sampled_from([0, 2, 1_000]),
+        dimension=st.sampled_from([5, PREDICTION_CACHE_MIN_DIMENSION]),
         ops=st.lists(
             st.tuples(
                 st.sampled_from(["predict", "predict", "observe"]),
@@ -213,9 +215,11 @@ class TestScalarLegEqualsBatchedLeg:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_same_answers_same_flags_same_cache(self, seed, cache_capacity, ops):
-        scalar = self._deploy(seed, cache_capacity)
-        batched = self._deploy(seed, cache_capacity)
+    def test_same_answers_same_flags_same_cache(
+        self, seed, cache_capacity, dimension, ops
+    ):
+        scalar = self._deploy(seed, cache_capacity, dimension)
+        batched = self._deploy(seed, cache_capacity, dimension)
         for op, uid, item, label in ops:
             if op == "observe":
                 scalar.observe(uid, item, label)

@@ -5,6 +5,7 @@ every send nobody waits for any more (timed out, or out-run by a hedge)."""
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
@@ -27,6 +28,7 @@ from repro.frontend import (
     ResilientClient,
     RetryBudget,
     RetryPolicy,
+    TopKApiRequest,
     VeloxServer,
     wire,
 )
@@ -220,9 +222,9 @@ class TestDeadlineCodec:
         assert decoded == request
 
 
-@pytest.fixture
-def engine(deployed_velox):
-    engine = deployed_velox.serving_engine(
+@contextlib.contextmanager
+def _running_engine(velox):
+    engine = velox.serving_engine(
         ServingConfig(num_workers=2, batching="adaptive", slo_p99=1.0)
     )
     engine.start()
@@ -230,6 +232,19 @@ def engine(deployed_velox):
         yield engine
     finally:
         engine.stop()
+
+
+@pytest.fixture
+def engine(deployed_velox):
+    with _running_engine(deployed_velox) as engine:
+        yield engine
+
+
+@pytest.fixture
+def caching_engine(caching_velox):
+    """An engine over a model whose predictions are cached."""
+    with _running_engine(caching_velox) as engine:
+        yield engine
 
 
 class TestEngineDeadlines:
@@ -282,8 +297,8 @@ class TestEngineDeadlines:
 
 
 class TestDegradedLadderRung:
-    def test_cache_hit_serves_degraded(self, deployed_velox, engine):
-        with VeloxServer(deployed_velox, engine=engine) as server:
+    def test_cache_hit_serves_degraded(self, caching_velox, caching_engine):
+        with VeloxServer(caching_velox, engine=caching_engine) as server:
             with PipelinedClient(server.host, server.port) as client:
                 warm = client.call(
                     PredictApiRequest(uid=3, item=5), timeout=5.0
@@ -298,7 +313,7 @@ class TestDegradedLadderRung:
         assert degraded.payload["score"] == pytest.approx(
             warm.payload["score"], abs=1e-9
         )
-        assert engine.resilience.snapshot()["degraded"].get("cached", 0) >= 1
+        assert caching_engine.resilience.snapshot()["degraded"].get("cached", 0) >= 1
 
     def test_cold_cache_is_typed_bottom(self, deployed_velox, engine):
         with VeloxServer(deployed_velox, engine=engine) as server:
@@ -309,6 +324,32 @@ class TestDegradedLadderRung:
                 )
         assert not response.ok
         assert response.error.startswith("DegradedError")
+
+    def test_model_that_does_not_cache_is_typed_bottom(
+        self, deployed_velox, engine
+    ):
+        """A model that scores directly keeps no predictions, so a warm
+        answer does not make a degraded one: the rung never scores, and
+        a predict or top-k on it is the typed bottom, reached without a
+        prediction-cache lookup."""
+        with VeloxServer(deployed_velox, engine=engine) as server:
+            with PipelinedClient(server.host, server.port) as client:
+                warm = client.call(PredictApiRequest(uid=3, item=5), timeout=5.0)
+                assert warm.ok
+                predict = client.call(
+                    PredictApiRequest(uid=3, item=5, degraded=True),
+                    timeout=5.0,
+                )
+                top_k = client.call(
+                    TopKApiRequest(uid=3, items=(5, 6, 7), k=2, degraded=True),
+                    timeout=5.0,
+                )
+        for response in (predict, top_k):
+            assert not response.ok
+            assert response.error.startswith("DegradedError")
+        stats = deployed_velox.service.cache_stats()
+        assert stats["prediction_hits"] == stats["prediction_misses"] == 0
+        assert engine.resilience.snapshot()["degraded"] == {"error": 2}
 
 
 class TestTimedOutSlotRecovery:
@@ -470,12 +511,12 @@ class TestResilientClient:
         assert client.metrics.retries == 0
 
     def test_ladder_degrades_to_cache_under_impossible_deadline(
-        self, deployed_velox, engine
+        self, caching_velox, caching_engine
     ):
         """Every fresh attempt is shed server-side (deadline already
         spent), so the client walks the ladder and answers from the
         prediction cache — response flagged degraded, zero errors."""
-        with VeloxServer(deployed_velox, engine=engine) as server:
+        with VeloxServer(caching_velox, engine=caching_engine) as server:
             with ResilientClient(
                 [(server.host, server.port)],
                 retry=RetryPolicy(max_attempts=2, base_backoff=0.001),

@@ -198,12 +198,12 @@ class TestPredictBatch:
             assert result.score == pytest.approx(scalar.score, abs=1e-9)
             assert result.item == item
 
-    def test_second_pass_hits_prediction_cache(self, deployed_velox):
+    def test_second_pass_hits_prediction_cache(self, caching_velox):
         uids = [1, 2, 3]
         items = [4, 5, 6]
-        first = deployed_velox.service.predict_batch("songs", uids, items)
+        first = caching_velox.service.predict_batch("songs", uids, items)
         assert not any(r.prediction_cache_hit for r in first)
-        second = deployed_velox.service.predict_batch("songs", uids, items)
+        second = caching_velox.service.predict_batch("songs", uids, items)
         assert all(r.prediction_cache_hit for r in second)
         for a, b in zip(first, second):
             assert a.score == pytest.approx(b.score)
@@ -222,18 +222,18 @@ class TestPredictBatch:
         assert results[0].score == pytest.approx(results[1].score)
         assert results[2].score == pytest.approx(results[3].score)
 
-    def test_predict_cached_cold_then_warm(self, deployed_velox):
-        assert deployed_velox.service.predict_cached("songs", 1, 9) is None
-        warm = deployed_velox.service.predict("songs", 1, 9)
-        cached = deployed_velox.service.predict_cached("songs", 1, 9)
+    def test_predict_cached_cold_then_warm(self, caching_velox):
+        assert caching_velox.service.predict_cached("songs", 1, 9) is None
+        warm = caching_velox.service.predict("songs", 1, 9)
+        cached = caching_velox.service.predict_cached("songs", 1, 9)
         assert cached is not None
         assert cached.prediction_cache_hit
         assert cached.score == pytest.approx(warm.score)
 
-    def test_top_k_cached_serves_only_cached_subset(self, deployed_velox):
+    def test_top_k_cached_serves_only_cached_subset(self, caching_velox):
         for item in (1, 2):
-            deployed_velox.service.predict("songs", 3, item)
-        ranked = deployed_velox.service.top_k_cached(
+            caching_velox.service.predict("songs", 3, item)
+        ranked = caching_velox.service.top_k_cached(
             "songs", 3, [1, 2, 3, 4], k=4
         )
         assert {r.item for r in ranked} == {1, 2}
@@ -279,16 +279,16 @@ class TestServingEngine:
         assert metrics.shed_count == 1
         assert metrics.snapshot()["shed_admission"] == 1
 
-    def test_degraded_top_k_serves_from_cache(self, deployed_velox):
-        warm = deployed_velox.service.predict("songs", 1, 5)
-        engine = deployed_velox.serving_engine(
+    def test_degraded_top_k_serves_from_cache(self, caching_velox):
+        warm = caching_velox.service.predict("songs", 1, 5)
+        engine = caching_velox.serving_engine(
             ServingConfig(max_queue_depth=0, degrade_top_k_on_overload=True)
         )
         future = engine.submit_top_k(1, [5, 6, 7], k=3)
         ranked = future.result(timeout=1)
         assert [r.item for r in ranked] == [5]
         assert ranked[0].score == pytest.approx(warm.score)
-        name = f"songs@node{deployed_velox.cluster.router.route_index(1)}"
+        name = f"songs@node{caching_velox.cluster.router.route_index(1)}"
         assert engine.queue_metrics()[name].degraded_count == 1
 
     def test_age_bound_sheds_stale_requests(self, deployed_velox):

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import TransportError, ValidationError
 from repro.frontend import (
@@ -197,6 +199,100 @@ class TestBinaryCodec:
             wire.encode_response_frame(
                 ApiResponse(ok=True, payload={(1, 2): "tuple key"}), 0
             )
+
+
+def _str_term(raw: bytes) -> bytes:
+    return bytes([wire._T_STR]) + wire._U32.pack(len(raw)) + raw
+
+
+def _ndarray_term(dtype: bytes, raw: bytes = bytes(8)) -> bytes:
+    return (
+        bytes([wire._T_NDARRAY, len(dtype)]) + dtype + bytes([1])
+        + wire._U32.pack(len(raw) // 8) + wire._U32.pack(len(raw)) + raw
+    )
+
+
+def _list_term(terms: list[bytes]) -> bytes:
+    return bytes([wire._T_LIST]) + wire._U32.pack(len(terms)) + b"".join(terms)
+
+
+#: Hostile terms: well-formed values of every kind, plus bytes that are
+#: no valid value (junk, bad UTF-8, unknown or non-ASCII dtypes), nested.
+_leaf_terms = st.one_of(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**63), 2**63 - 1),
+        st.floats(),
+        st.text(max_size=8),
+        st.lists(st.integers(-5, 5), max_size=3),
+    ).map(lambda value: wire._pack_values(value)),
+    st.binary(max_size=12),
+    st.binary(max_size=4).map(lambda raw: _str_term(b"\xff" + raw)),
+    st.sampled_from([b"zzz", b"\xff\xfe", b"<f8", b"O", b"V0", b"(9999999999,)f8"])
+    .map(_ndarray_term),
+)
+_terms = st.recursive(
+    _leaf_terms, lambda inner: st.lists(inner, max_size=3).map(_list_term),
+    max_leaves=8,
+)
+
+
+class TestHostileRequestPayloads:
+    """Whatever bytes follow a valid header, the request decoder answers
+    with a request or a typed error, never anything else."""
+
+    @staticmethod
+    def _decode_or_typed_error(opcode: int, payload: bytes):
+        try:
+            request = wire.decode_request_payload(opcode, payload)
+        except (TransportError, ValidationError):
+            return
+        assert type(request) in wire.REQUEST_OPCODES
+
+    @given(
+        opcode=st.sampled_from(sorted(wire.REQUEST_OPCODES.values())),
+        terms=st.lists(_terms, max_size=9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_terms_decode_or_raise_typed(self, opcode, terms):
+        self._decode_or_typed_error(opcode, b"".join(terms))
+
+    @given(
+        request=st.sampled_from(REQUEST_CATALOG),
+        cut=st.integers(0, 64),
+        flips=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 255)), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_valid_payloads_decode_or_raise_typed(self, request, cut, flips):
+        frame = wire.encode_request_frame(request, corr_id=1)
+        opcode, _, payload = wire.read_frame(io.BytesIO(frame))
+        mutated = bytearray(payload[: max(0, len(payload) - cut)])
+        for position, mask in flips:
+            if position < len(mutated):
+                mutated[position] ^= mask
+        self._decode_or_typed_error(opcode, bytes(mutated))
+
+    def test_deep_list_nesting_is_a_transport_error(self):
+        payload = (bytes([wire._T_LIST]) + wire._U32.pack(1)) * 200_000
+        with pytest.raises(TransportError):
+            wire.decode_request_payload(wire.OP_PREDICT, payload)
+
+    @pytest.mark.parametrize("term", [_str_term(b"\xff\xfe"), _ndarray_term(b"\xff")])
+    def test_bad_utf8_or_ascii_is_a_transport_error(self, term):
+        with pytest.raises(TransportError):
+            wire.decode_request_payload(wire.OP_HEALTH, term)
+
+    def test_unknown_dtype_is_typed(self):
+        payload = wire._pack_values(1) + _ndarray_term(b"zzz")
+        with pytest.raises((TransportError, ValidationError)):
+            wire.decode_request_payload(wire.OP_PREDICT, payload + bytes(3))
+
+    @pytest.mark.parametrize("uid", ["seven", float("inf"), float("nan"), [1], None])
+    def test_non_integer_uid_is_a_validation_error(self, uid):
+        payload = wire._pack_values(uid, 5, "songs", None, False)
+        with pytest.raises(ValidationError):
+            wire.decode_request_payload(wire.OP_PREDICT, payload)
 
 
 class TestGoldenBytes:
