@@ -267,17 +267,18 @@ class ServingEngine:
             ):
                 # Graceful degradation: answer from the prediction cache
                 # only (possibly fewer than k items) instead of rejecting.
+                # An empty slate is the ladder's bottom rung: it counts as
+                # an error, as the client's degraded dispatch counts it.
                 metrics.on_degraded()
-                self.resilience.on_degraded("cached")
-                request.future.set_result(
-                    self.velox.service.top_k_cached(
-                        request.model,
-                        request.uid,
-                        list(request.items),
-                        k=request.k,
-                        policy=request.policy,
-                    )
+                ranked = self.velox.service.top_k_cached(
+                    request.model,
+                    request.uid,
+                    list(request.items),
+                    k=request.k,
+                    policy=request.policy,
                 )
+                self.resilience.on_degraded("cached" if ranked else "error")
+                request.future.set_result(ranked)
                 return request.future
             metrics.on_shed(at_admission=True)
             raise OverloadedError(

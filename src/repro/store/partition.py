@@ -234,7 +234,8 @@ class Partition:
         """Bulk-install slab rows as ONE journal record.
 
         ``keys``/``matrix`` land at version ``current + 1`` per key
-        (retrain swap semantics).
+        (retrain swap semantics). They are handed over, not copied: they
+        become the record's (and, into an empty slab, the live) arrays.
         """
         delegate = self._delegate()
         if delegate is not None:
@@ -264,11 +265,14 @@ class Partition:
         copy-on-write mapping of the same data) and an empty partition,
         the arrays are adopted as the live slab without copying — the
         memory-mapped load-not-parse path; the journal keeps the
-        read-only ``rows`` mapping for replay.
+        read-only ``rows`` mapping for replay. ``keys`` are handed over:
+        the record and the slab's key column share them.
         """
         self._check_alive()
+        keys = np.asarray(keys, dtype=np.int64).view()
+        keys.flags.writeable = False
         snapshot = SlabSnapshot(
-            keys=np.asarray(keys, dtype=np.int64),
+            keys=keys,
             rows=rows,
             versions=np.asarray(versions, dtype=np.int64),
         )

@@ -11,7 +11,13 @@ growth, so
 * ``get``/``put`` are row reads/writes into one big array,
 * multi-key reads are a single fancy-index gather,
 * snapshot export/install is an O(bytes) array copy, and
-* per-entry resident memory is ``rank * itemsize`` plus one index slot.
+* per-entry resident memory is ``rank * itemsize`` plus a version, and
+  for rows installed in bulk a key-column entry and a live flag.
+
+Rows that arrive in bulk (``adopt``, ``load(replace=True)``) are found
+through a :class:`KeyColumn` — sorted int64 keys, binary-searched — so
+a pristine user costs no Python object; only keys inserted one at a
+time afterwards go in a dict.
 
 Not every value is a fixed-rank vector, so the slab always rides behind
 a :class:`HybridStore`: a :class:`SlabPolicy` decides per value whether
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import sys
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
@@ -35,6 +42,9 @@ import numpy as np
 
 #: Starting row capacity of an empty slab (doubles as it fills).
 INITIAL_CAPACITY = 8
+
+#: Bytes of one int object of up to 30 bits (an index key or row).
+_INT_OBJECT_BYTES = sys.getsizeof(1 << 20)
 
 
 class SlabRow(NamedTuple):
@@ -175,20 +185,125 @@ class SlabPolicy:
         return info
 
 
+class KeyColumn:
+    """The index of rows a slab received in bulk: no object per key.
+
+    A key-sorted ``int64`` column, a parallel live flag (deletes clear
+    it; the entry stays), and the row of each entry — ``None`` when the
+    staged rows were already key-sorted, so entry ``i`` is row ``i``.
+    One key is a binary search over a memoryview of the column (Python
+    ints, no numpy scalar per probe); a batch is one ``np.searchsorted``.
+
+    The column is immutable once built: a key re-inserted after its
+    delete goes to the slab's dict overlay, never back in here, so a
+    reader that holds one ``KeyColumn`` sees a consistent index.
+    """
+
+    __slots__ = ("keys", "positions", "live", "count", "_key_view",
+                 "_position_view", "_live_view")
+
+    def __init__(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        positions = None
+        if len(keys) > 1 and (keys[1:] < keys[:-1]).any():
+            positions = np.argsort(keys, kind="stable")
+            keys = keys[positions]
+        elif keys.flags.writeable:
+            # Read-only keys are a staged record's own (shared, never
+            # written); anything else might be written by its owner.
+            keys = keys.copy()
+        keys.flags.writeable = False
+        self.keys = keys
+        self.positions = positions
+        self.live = np.ones(len(keys), dtype=bool)
+        self.count = len(keys)
+        self._key_view = memoryview(keys)
+        self._position_view = None if positions is None else memoryview(positions)
+        self._live_view = memoryview(self.live)
+
+    def _entry(self, key) -> int | None:
+        """The column entry of a live key, or None."""
+        keys = self._key_view
+        try:
+            i = bisect_left(keys, key)
+        except TypeError:  # not comparable with an int: never a slab key
+            return None
+        if i == len(keys) or keys[i] != key or not self._live_view[i]:
+            return None
+        return i
+
+    def row(self, key) -> int | None:
+        """The row of a live key, or None."""
+        i = self._entry(key)
+        if i is None or self._position_view is None:
+            return i
+        return self._position_view[i]
+
+    def rows_of(self, probe: np.ndarray) -> np.ndarray:
+        """The row of every ``int64`` probe key, ``-1`` when absent."""
+        keys = self.keys
+        entries = keys.searchsorted(probe)
+        hit = keys.take(entries, mode="clip") == probe
+        if self.count < len(keys):
+            hit &= self.live.take(entries, mode="clip")
+        if self.positions is not None:
+            entries = self.positions.take(entries, mode="clip")
+        return np.where(hit, entries, -1)
+
+    def remove(self, key) -> int | None:
+        """Clear a live key's flag; its row, or None when absent."""
+        i = self._entry(key)
+        if i is None:
+            return None
+        self.live[i] = False
+        self.count -= 1
+        return i if self._position_view is None else self._position_view[i]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, rows)`` of the live entries, key-sorted."""
+        live = self.live
+        rows = (np.arange(len(live)) if self.positions is None
+                else self.positions)
+        if self.count == len(live):
+            return self.keys, rows
+        return self.keys[live], rows[live]
+
+    def keys_by_row(self) -> np.ndarray:
+        """The live keys in row (staging) order."""
+        if self.positions is None:
+            return self.keys[self.live]
+        keys = np.empty_like(self.keys)
+        keys[self.positions] = self.keys
+        live = np.empty_like(self.live)
+        live[self.positions] = self.live
+        return keys[live]
+
+    @property
+    def nbytes(self) -> int:
+        total = self.keys.nbytes + self.live.nbytes
+        return total if self.positions is None else total + self.positions.nbytes
+
+
 class SlabStorage:
     """One partition's columnar store: rows + index + free list.
 
     Rows live in a single ``(capacity, rank)`` array that doubles when
     full (amortized O(1) growth); per-row versions live in a parallel
     int64 array. Deleted rows go on a LIFO free list and are reused by
-    later inserts. Keys are normalized to Python ints.
+    later inserts. Keys are ints.
+
+    The index has two parts. Rows installed in bulk (``adopt``,
+    ``load(replace=True)``) are found through a :class:`KeyColumn`;
+    keys inserted one at a time afterwards (``set_at`` of a new key,
+    the merge's fresh keys) go in the ``_index`` dict. A key lives in
+    at most one of them. Lock-free readers read each field once.
 
     The row array may be a read-only array the slab shares (a journal
     ``LOAD`` record it adopted): every row write first copies it.
     """
 
-    __slots__ = ("rank", "dtype", "_rows", "_versions", "_index", "_free",
-                 "_high")
+    __slots__ = ("rank", "dtype", "_rows", "_versions", "_index", "_bulk",
+                 "_free", "_high")
 
     def __init__(self, rank: int, dtype=np.float64,
                  initial_capacity: int = INITIAL_CAPACITY):
@@ -198,16 +313,18 @@ class SlabStorage:
         self._rows = np.zeros((capacity, self.rank), dtype=self.dtype)
         self._versions = np.zeros(capacity, dtype=np.int64)
         self._index: dict[int, int] = {}
+        self._bulk: KeyColumn | None = None
         self._free: list[int] = []
         self._high = 0  # rows ever allocated; rows >= _high are untouched
 
     # -- basic state ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._index)
+        bulk = self._bulk
+        return len(self._index) + (0 if bulk is None else bulk.count)
 
     def __contains__(self, key: object) -> bool:
-        return key in self._index
+        return self.row_of(key) is not None
 
     @property
     def capacity(self) -> int:
@@ -216,19 +333,32 @@ class SlabStorage:
 
     def row_of(self, key: object) -> int | None:
         """The physical row index for a key, or None."""
-        return self._index.get(key)
+        row = self._index.get(key)
+        if row is not None:
+            return row
+        bulk = self._bulk
+        return None if bulk is None else bulk.row(key)
 
     def keys(self) -> list[int]:
         """A snapshot list of live keys (insertion order)."""
-        return list(self._index)
+        bulk = self._bulk
+        overlay = list(self._index)
+        if bulk is None:
+            return overlay
+        return bulk.keys_by_row().tolist() + overlay
 
     def memory_bytes(self) -> int:
-        """Resident bytes: the arrays plus the index dict."""
+        """Resident bytes: the arrays, the key column, and the overlay
+        dict and free list with the int objects they hold."""
+        bulk = self._bulk
+        boxed = 2 * len(self._index) + len(self._free)
         return (
             self._rows.nbytes
             + self._versions.nbytes
+            + (0 if bulk is None else bulk.nbytes)
             + sys.getsizeof(self._index)
             + sys.getsizeof(self._free)
+            + boxed * _INT_OBJECT_BYTES
         )
 
     # -- row allocation ------------------------------------------------
@@ -265,7 +395,7 @@ class SlabStorage:
 
     def get(self, key: object):
         """``(read-only row view, version)`` or ``None`` when absent."""
-        row = self._index.get(key)
+        row = self.row_of(key)
         if row is None:
             return None
         view = self._rows[row]
@@ -274,13 +404,13 @@ class SlabStorage:
 
     def version(self, key: object) -> int:
         """The key's current version (0 when absent)."""
-        row = self._index.get(key)
+        row = self.row_of(key)
         return 0 if row is None else int(self._versions[row])
 
     def set_at(self, key: object, vector: np.ndarray, version: int) -> None:
         """Write a row at an explicit version (install/replay path)."""
         key = int(key)
-        row = self._index.get(key)
+        row = self.row_of(key)
         if row is None:
             row = self._allocate(key)
         self._own_rows()
@@ -291,7 +421,10 @@ class SlabStorage:
         """Free a key's row (recycled by later inserts)."""
         row = self._index.pop(key, None)
         if row is None:
-            return False
+            bulk = self._bulk
+            row = None if bulk is None else bulk.remove(key)
+            if row is None:
+                return False
         self._versions[row] = 0
         self._free.append(row)
         return True
@@ -299,6 +432,7 @@ class SlabStorage:
     def clear(self) -> None:
         """Drop every entry, retaining allocated capacity."""
         self._index.clear()
+        self._bulk = None
         self._free.clear()
         self._versions[: self._high] = 0
         self._high = 0
@@ -307,12 +441,27 @@ class SlabStorage:
 
     def _positions(self, keys: list) -> np.ndarray:
         """The row of every key (``-1`` when absent), in one pass."""
-        if not self._index:
-            return np.full(len(keys), -1, dtype=np.intp)
-        return np.fromiter(
-            map(self._index.get, keys, repeat(-1)),
-            dtype=np.intp, count=len(keys),
-        )
+        n = len(keys)
+        index = self._index
+        bulk = self._bulk
+        positions = None
+        if index or bulk is None:
+            positions = np.fromiter(
+                map(index.get, keys, repeat(-1)), dtype=np.intp, count=n,
+            )
+        if bulk is None:
+            return positions
+        try:
+            found = bulk.rows_of(np.fromiter(keys, dtype=np.int64, count=n))
+        except (TypeError, ValueError, OverflowError):  # a non-int64 key
+            found = np.fromiter(
+                (-1 if (row := bulk.row(key)) is None else row for key in keys),
+                dtype=np.intp, count=n,
+            )
+        if positions is None:
+            return found
+        # The two parts hold disjoint keys: at most one of them is >= 0.
+        return np.maximum(positions, found, out=positions)
 
     def gather(self, keys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One fancy-index read of many keys.
@@ -328,14 +477,28 @@ class SlabStorage:
 
     def export(self) -> SlabSnapshot:
         """A consistent, key-sorted columnar copy of every live entry."""
-        n = len(self._index)
-        if n == 0:
+        if len(self) == 0:
             return SlabSnapshot.empty(self.rank, self.dtype)
-        keys = np.fromiter(self._index.keys(), dtype=np.int64, count=n)
-        positions = np.fromiter(self._index.values(), dtype=np.intp, count=n)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        positions = positions[order]
+        key_parts, row_parts = [], []
+        bulk = self._bulk
+        if bulk is not None:
+            keys, rows = bulk.entries()
+            key_parts.append(keys)
+            row_parts.append(rows)
+        n = len(self._index)
+        if n:
+            key_parts.append(
+                np.fromiter(self._index.keys(), dtype=np.int64, count=n)
+            )
+            row_parts.append(
+                np.fromiter(self._index.values(), dtype=np.intp, count=n)
+            )
+        keys = np.concatenate(key_parts)
+        positions = np.concatenate(row_parts)
+        if n:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            positions = positions[order]
         return SlabSnapshot(
             keys=keys,
             rows=self._rows[positions],
@@ -346,11 +509,12 @@ class SlabStorage:
         """Install a snapshot: wholesale (``replace``) or merged at the
         snapshot's explicit versions.
 
-        The merge is columnar: one position lookup, fresh keys take
-        free-list rows first (in ``set_at``'s LIFO order) and then one
-        contiguous block past ``_high`` after at most one ``_grow``, one
-        fancy-index write of rows and versions, one index update.
-        Snapshot keys must be unique.
+        ``replace`` indexes the rows through a :class:`KeyColumn`. The
+        merge is columnar: one position lookup, fresh keys take free-list
+        rows first (in ``set_at``'s LIFO order) and then one contiguous
+        block past ``_high`` after at most one ``_grow``, one fancy-index
+        write of rows and versions, one ``_index`` update for the fresh
+        keys. Snapshot keys must be unique.
         """
         n = len(snapshot)
         if replace:
@@ -363,9 +527,7 @@ class SlabStorage:
             self._rows[:n] = snapshot.rows
             self._versions[:n] = snapshot.versions
             self._high = n
-            self._index = {
-                int(k): i for i, k in enumerate(snapshot.keys)
-            }
+            self._bulk = KeyColumn(snapshot.keys)
             return
         keys = snapshot.keys.tolist()
         targets = self._positions(keys)
@@ -396,10 +558,11 @@ class SlabStorage:
         read-only journal record (the first row write copies it), or an
         ``np.load(..., mmap_mode="c")`` array, so recovery maps the file
         instead of copying it and pages materialize copy-on-write as
-        rows are read or overwritten. ``versions`` is copied (deletes
+        rows are read or overwritten. Read-only key-sorted ``keys`` are
+        the :class:`KeyColumn` itself; ``versions`` is copied (deletes
         write it). The slab must be empty.
         """
-        if self._index:
+        if len(self):
             raise ValueError("can only adopt arrays into an empty slab")
         n = len(keys)
         if rows.shape != (n, self.rank) or rows.dtype != self.dtype:
@@ -411,7 +574,7 @@ class SlabStorage:
         self._versions = np.array(versions, dtype=np.int64)
         self._high = n
         self._free = []
-        self._index = dict(zip(np.asarray(keys).tolist(), range(n)))
+        self._bulk = KeyColumn(keys) if n else None
 
     def row_sum(self) -> np.ndarray:
         """The column sum of every live row, read in place."""
@@ -580,18 +743,22 @@ class HybridStore:
     # -- bulk install ---------------------------------------------------
 
     def prepare_bulk(self, keys, matrix) -> SlabSnapshot:
-        """Stage a bulk put: copy rows once, compute next versions.
+        """Stage a bulk put: take the rows over, compute next versions.
 
-        Versions come from one slab position lookup (every version is 1
-        into an empty store, the ``add_model`` case); only keys the slab
-        lacks are looked up in the object dict. Returns the
-        :class:`SlabSnapshot` to journal (one LOAD record); apply it with
-        :meth:`bulk_install`. Keys must be unique.
+        ``keys`` and ``matrix`` are handed over, not copied: read-only
+        views of them become the staged record, so their owner must not
+        write them afterwards (``Table.load_weight_rows`` passes slices
+        of the one copy it makes). Versions come from one slab position
+        lookup (every version is 1 into an empty store, the
+        ``add_model`` case); only keys the slab lacks are looked up in
+        the object dict. Returns the :class:`SlabSnapshot` to journal
+        (one LOAD record); apply it with :meth:`bulk_install`. Keys
+        must be unique.
         """
         if self.slab is None:
             raise ValueError("bulk slab loads need a slab-backed store")
-        keys = np.asarray(keys, dtype=np.int64)
-        rows = np.array(matrix, dtype=self.slab.dtype)
+        keys = np.asarray(keys, dtype=np.int64).view()
+        rows = np.asarray(matrix, dtype=self.slab.dtype).view()
         if rows.shape != (len(keys), self.slab.rank):
             raise ValueError(
                 f"bulk rows must be ({len(keys)}, {self.slab.rank}), "
@@ -617,9 +784,10 @@ class HybridStore:
     def bulk_install(self, snapshot: SlabSnapshot) -> None:
         """Apply a staged/replayed bulk load at its recorded versions.
 
-        Into an empty slab the snapshot's read-only rows are adopted, not
-        copied: the journal's ``LOAD`` record and the live slab share one
-        array until the slab's first row write.
+        Into an empty slab the snapshot's read-only rows and keys are
+        adopted, not copied: the journal's ``LOAD`` record and the live
+        slab share one row array (until the slab's first row write) and
+        one key column.
         """
         if self.slab is None:
             raise ValueError("bulk slab loads need a slab-backed store")

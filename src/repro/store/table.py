@@ -177,19 +177,23 @@ class Table:
         """Bulk-install weight rows (one journaled LOAD per partition).
 
         Each key lands at its current version + 1 — the retrain swap
-        path. Keys are split across partitions in one columnar pass when
-        the partitioner has ``partition_many``; a plain callable is asked
-        once per key. Returns the number of rows installed.
+        path. The weights are copied once: one stable sort by owning
+        partition and one gather, whose per-partition slices become the
+        partitions' LOAD rows (the caller's arrays stay the caller's).
+        Owners come from one columnar pass when the partitioner has
+        ``partition_many``; a plain callable is asked once per key.
+        Returns the number of rows installed.
         """
         if self.value_policy is None:
             raise PartitionError(
                 f"table {self.name!r} has no value policy; "
                 "load_weight_rows needs slab-backed storage"
             )
+        dtype = self.value_policy.dtype
         keys = np.asarray(keys, dtype=np.int64)
-        matrix = np.asarray(matrix, dtype=self.value_policy.dtype)
+        matrix = np.asarray(matrix)
         if self.num_partitions == 1:
-            self._partitions[0].load_rows(keys, matrix)
+            self._partitions[0].load_rows(keys.copy(), matrix.astype(dtype))
             return len(keys)
         partition_many = getattr(self._partitioner, "partition_many", None)
         if partition_many is None:
@@ -206,11 +210,15 @@ class Table:
                     f"partitioner returned indices outside [0, "
                     f"{self.num_partitions}) for table {self.name!r}"
                 )
-        for index in np.flatnonzero(
-            np.bincount(owners, minlength=self.num_partitions)
-        ):
-            mask = owners == index
-            self._partitions[index].load_rows(keys[mask], matrix[mask])
+        order = np.argsort(owners, kind="stable")
+        keys = keys[order]
+        matrix = matrix[order].astype(dtype, copy=False)
+        ends = np.cumsum(np.bincount(owners, minlength=self.num_partitions))
+        start = 0
+        for partition, end in zip(self._partitions, ends.tolist()):
+            if end > start:
+                partition.load_rows(keys[start:end], matrix[start:end])
+            start = end
         return len(keys)
 
     def memory_bytes(self) -> int:

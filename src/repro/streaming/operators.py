@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import Callable
 
@@ -81,14 +82,16 @@ class TumblingWindowAggregate(Operator):
 
     def process(self, batch: list) -> list:
         """Transform one micro-batch (see Operator.process)."""
-        import copy
-
         emitted = []
         for record in batch:
             key = self._key_fn(record)
-            aggregate, count = self._windows.get(
-                key, (copy.deepcopy(self._zero), 0)
-            )
+            window = self._windows.get(key)
+            if window is None:
+                # A fresh zero per opened window: a mutable zero (a list,
+                # a dict) is never shared between two windows.
+                aggregate, count = copy.deepcopy(self._zero), 0
+            else:
+                aggregate, count = window
             aggregate = self._add(aggregate, record)
             count += 1
             if count >= self.window_size:

@@ -290,6 +290,19 @@ class TestServingEngine:
         assert ranked[0].score == pytest.approx(warm.score)
         name = f"songs@node{caching_velox.cluster.router.route_index(1)}"
         assert engine.queue_metrics()[name].degraded_count == 1
+        assert engine.resilience.snapshot()["degraded"] == {"cached": 1}
+
+    def test_degraded_top_k_with_an_empty_slate_counts_an_error(
+        self, deployed_velox
+    ):
+        """At d = 7 nothing is cached: the degraded answer is an empty
+        slate, which the resilience ladder counts as its error rung."""
+        engine = deployed_velox.serving_engine(
+            ServingConfig(max_queue_depth=0, degrade_top_k_on_overload=True)
+        )
+        future = engine.submit_top_k(1, [5, 6, 7], k=3)
+        assert future.result(timeout=1) == []
+        assert engine.resilience.snapshot()["degraded"] == {"error": 1}
 
     def test_age_bound_sheds_stale_requests(self, deployed_velox):
         clock = SimulatedClock()

@@ -82,6 +82,37 @@ class TestOperators:
         out = window.process([("a", 1), ("b", 2), ("a", 3), ("b", 4)])
         assert dict(out) == {"a": [1, 3], "b": [2, 4]}
 
+    def test_mutable_zero_copied_once_per_opened_window(self):
+        """An in-place ``add`` on a list zero: every window (two keys,
+        and successive windows of one key) gets its own list, the zero
+        itself is never written, and it is copied only when a window
+        opens, not once per record."""
+
+        class CountingZero(list):
+            copies = 0
+
+            def __deepcopy__(self, memo):
+                CountingZero.copies += 1
+                return []
+
+        def append(acc, record):
+            acc.append(record[1])
+            return acc
+
+        zero = CountingZero()
+        window = TumblingWindowAggregate(
+            key_fn=lambda r: r[0], zero=zero, add=append, window_size=3,
+        )
+        records = [("a", 1), ("b", 2), ("a", 3), ("a", 4), ("b", 5),
+                   ("a", 6), ("a", 7), ("b", 8), ("a", 9), ("b", 10)]
+        out = window.process(records[:4]) + window.process(records[4:])
+        assert out == [("a", [1, 3, 4]), ("b", [2, 5, 8]), ("a", [6, 7, 9])]
+        assert window.flush() == [("b", [10])]
+        assert zero == []
+        emitted = [agg for _key, agg in out]
+        assert len({id(agg) for agg in emitted}) == len(emitted)
+        assert CountingZero.copies == 4  # windows opened, not 10 records
+
     def test_window_validation(self):
         with pytest.raises(ValidationError):
             TumblingWindowAggregate(lambda r: r, 0, lambda a, b: a, 0)
